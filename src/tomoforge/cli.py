@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every subcommand is a thin wrapper over the library; no numeric logic lives
-here. Exit codes: 0 success, 2 input validation failure, 1 numerical
-failure. The TOMOFORGE_THRESHOLD environment variable overrides the default
-truncation threshold; an explicit --threshold flag wins over it.
+here. Exit codes: 0 success, 2 input validation failure or a file that
+cannot be read or written, 1 numerical failure. The TOMOFORGE_THRESHOLD
+environment variable overrides the default truncation threshold; an
+explicit --threshold flag wins over it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def _resolve_threshold(flag_value) -> float:
             raise ValidationError(f"{_ENV_THRESHOLD}={raw!r} is not a number") from None
     else:
         value = DEFAULT_THRESHOLD
-    if value <= 0:
-        raise ValidationError(f"threshold must be positive, got {value}")
     return value
 
 
@@ -82,8 +81,8 @@ def _cmd_analyze(args) -> int:
     threshold = _resolve_threshold(args.threshold)
     design = assemble_design(ids, include_trace=not args.no_trace)
     rank = matrix_rank(design.matrix)
-    report = error_matrix_analysis(normal_system(design), threshold)
-    c = design.matrix.T @ design.matrix
+    ns = normal_system(design)
+    report = error_matrix_analysis(ns, threshold)
     statuses = ["ill" if bad else "well" for bad in report.ill_determined]
 
     if args.format == "csv":
@@ -91,7 +90,7 @@ def _cmd_analyze(args) -> int:
         print("rows,cols,trace_row,rank")
         print(f"{design.rows},16,{'no' if args.no_trace else 'yes'},{rank}")
         print("# normal_matrix")
-        for row in c:
+        for row in ns.matrix:
             print(",".join(_fmt(v) for v in row))
         print("# directions")
         print("eigenvalue,status," + ",".join(f"x{k}" for k in range(1, 17)))
@@ -104,7 +103,7 @@ def _cmd_analyze(args) -> int:
     print(f"rank: {rank} of 16")
     print(f"threshold: {_fmt(threshold)}")
     print("normal matrix:")
-    for row in c:
+    for row in ns.matrix:
         print("  " + " ".join(f"{v:10.6g}" for v in row))
     print(f"eigenvalues (descending): {' '.join(_fmt(v) for v in report.eigenvalues)}")
     print("combinations:")
@@ -231,10 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -13,6 +13,8 @@ an error above that.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 import warnings
 from typing import Iterable, Optional
@@ -59,6 +61,8 @@ def parse_readings(text: str) -> list:
             re_part, im_part = float(parts[2]), float(parts[3])
         except ValueError:
             raise ValidationError(f"line {lineno}: could not parse value from {raw!r}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ValidationError(f"line {lineno}: value is not finite in {raw!r}")
         key = (rid, peak)
         if key in seen:
             raise ValidationError(f"line {lineno}: duplicate record for read-out {rid}, {peak} peak")
@@ -90,7 +94,10 @@ def _parse_complex(token: str, lineno: int):
     m = _COMPLEX_RE.match(token)
     if m is None:
         raise ValidationError(f"line {lineno}: unparseable complex literal {token!r} (expected a+bi)")
-    return complex(float(m.group(1)), float(m.group(2)))
+    value = complex(float(m.group(1)), float(m.group(2)))
+    if not cmath.isfinite(value):
+        raise ValidationError(f"line {lineno}: complex literal {token!r} is not finite")
+    return value
 
 
 def parse_density(

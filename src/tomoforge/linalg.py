@@ -49,12 +49,9 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
         )
     w, v = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            v[:, k] = -col
+    w, v = w[order], v[:, order]
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v[:, pivots < 0] *= -1.0
     return SymEigen(w, v)
 
 

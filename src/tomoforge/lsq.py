@@ -66,8 +66,8 @@ def normal_system(design: DesignSystem) -> NormalSystem:
 
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
     """Diagonalize the normal matrix and flag ill-determined combinations."""
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < np.inf:
+        raise ValidationError(f"threshold must be positive and finite, got {threshold}")
     dec = sym_eigen(ns.matrix)
     combos = dec.vectors.T
     return ErrorMatrixReport(
@@ -96,6 +96,8 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     prior = maximally_mixed_params() if prior is None else np.asarray(prior, dtype=float)
     if prior.shape != (16,):
         raise ValidationError(f"prior must be 16 real parameters, got shape {prior.shape}")
+    if not np.isfinite(prior).all():
+        raise ValidationError("prior has non-finite parameters")
     report = error_matrix_analysis(normal_system(design), threshold)
     kept = ~report.ill_determined
     if not kept.any():

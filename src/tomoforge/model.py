@@ -21,7 +21,7 @@ optional trace row (x1 + x5 + x8 + x10 = 1) fixes normalization.
 
 from __future__ import annotations
 
-import functools
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -141,6 +141,8 @@ def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
     dev = np.abs(m - m.conj().T)
     if np.max(dev) > hermiticity_tol:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -190,23 +192,25 @@ def _snap_coefficients(rows: np.ndarray) -> np.ndarray:
     return np.where(np.min(dist, axis=-1) < 1e-12, _EXACT_COEFFICIENTS[nearest], rows)
 
 
-@functools.lru_cache(maxsize=None)
-def _readout_block(rid: int):
-    """The cached 4x16 coefficient block of one read-out (rows: left re/im,
-    right re/im), produced by conjugating each parameter basis matrix."""
-    r = rotation_matrix(readout_label(rid))
-    rotated = np.einsum("ij,mjk,lk->mil", r, _BASIS, r.conj())
-    rows = np.empty((4, N_PARAMS))
+def _build_rows():
+    """The 18x4x16 forward model and its row labels. Block rid-1 holds the
+    equations of read-out rid (left re/im, right re/im), produced by
+    conjugating each parameter basis matrix."""
+    rows = np.empty((N_READOUTS, 4, N_PARAMS))
     labels = []
-    for k, (p, (i, j)) in enumerate(zip(PEAKS, observable_positions(rid))):
-        elem = rotated[:, i - 1, j - 1]
-        rows[2 * k] = elem.real
-        rows[2 * k + 1] = elem.imag
-        labels.append((rid, p, "re"))
-        labels.append((rid, p, "im"))
+    for rid in range(1, N_READOUTS + 1):
+        r = rotation_matrix(readout_label(rid))
+        rotated = np.einsum("ij,mjk,lk->mil", r, _BASIS, r.conj())
+        for k, (i, j) in enumerate(observable_positions(rid)):
+            rows[rid - 1, 2 * k] = rotated[:, i - 1, j - 1].real
+            rows[rid - 1, 2 * k + 1] = rotated[:, i - 1, j - 1].imag
+        labels.append(tuple((rid, p, part) for p in PEAKS for part in ("re", "im")))
     rows = _snap_coefficients(rows)
     rows.setflags(write=False)
     return rows, tuple(labels)
+
+
+_ROWS, _ROW_LABELS = _build_rows()
 
 
 def readout_rows(readout: int):
@@ -216,8 +220,8 @@ def readout_rows(readout: int):
     imaginary-part equations of the left then right peak, and a tuple of
     matching (id, peak, 're'|'im') labels.
     """
-    rows, labels = _readout_block(require_readout_id(readout))
-    return rows.copy(), labels
+    rid = require_readout_id(readout)
+    return _ROWS[rid - 1].copy(), _ROW_LABELS[rid - 1]
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,10 @@ def assemble_design(
             if key in values:
                 raise ValidationError(f"duplicate reading for read-out {key[0]}, {key[1]} peak")
             values[key] = complex(rec.value)
+            if not cmath.isfinite(values[key]):
+                raise ValidationError(
+                    f"reading for read-out {key[0]}, {key[1]} peak is not finite: {rec.value!r}"
+                )
         expected = {(rid, p) for rid in ids for p in PEAKS}
         if set(values) != expected:
             missing = sorted(expected - set(values))
@@ -291,21 +299,19 @@ def assemble_design(
                 f"readings do not match the read-out set (missing {missing}, unexpected {extra})"
             )
 
-    blocks, labels, rhs = [], [], []
-    for rid in ids:
-        rows, row_labels = _readout_block(rid)
-        blocks.append(rows)
-        labels.extend(row_labels)
-        for p in PEAKS:
-            v = values[(rid, p)] if values is not None else 0.0j
-            rhs.extend((v.real, v.imag))
+    n = 4 * len(ids)
+    matrix = np.zeros((n + 1 if include_trace else n, N_PARAMS))
+    matrix[:n] = _ROWS[np.array(ids) - 1].reshape(n, N_PARAMS)
+    rhs = np.zeros(len(matrix))
+    if values is not None:
+        # complex peaks viewed as floats: real and imaginary parts interleaved
+        rhs[:n] = np.array([values[(rid, p)] for rid in ids for p in PEAKS]).view(float)
+    labels = [label for rid in ids for label in _ROW_LABELS[rid - 1]]
     if include_trace:
-        trace_row = np.zeros((1, N_PARAMS))
-        trace_row[0, list(DIAGONAL_SLOTS)] = 1.0
-        blocks.append(trace_row)
+        matrix[n, list(DIAGONAL_SLOTS)] = 1.0
+        rhs[n] = 1.0
         labels.append(TRACE_LABEL)
-        rhs.append(1.0)
-    return DesignSystem(np.vstack(blocks), np.array(rhs), tuple(labels))
+    return DesignSystem(matrix, rhs, tuple(labels))
 
 
 def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: int = 0) -> list:
@@ -317,20 +323,15 @@ def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: i
     left before right, real before imaginary), so a seed pins the output.
     """
     m = np.asarray(rho, dtype=complex)
-    matrix_to_params(m)  # shape + hermiticity validation
+    x = matrix_to_params(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"density matrix must have trace 1, got {tr.real:.6g}")
-    if noise_sigma < 0:
-        raise ValidationError(f"noise sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValidationError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     ids = _validated_ids(readouts)
-    rng = np.random.default_rng(seed)
-    out = []
-    for rid in ids:
-        rotated = apply_rotation(m, readout_label(rid))
-        for p, (i, j) in zip(PEAKS, observable_positions(rid)):
-            v = complex(rotated[i - 1, j - 1])
-            if noise_sigma > 0:
-                v += rng.normal(0.0, noise_sigma) + 1.0j * rng.normal(0.0, noise_sigma)
-            out.append(Reading(rid, p, v))
-    return out
+    values = _ROWS[np.array(ids) - 1] @ x
+    if noise_sigma > 0:
+        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
+    peaks = values.view(complex)  # one row per read-out: left, right
+    return [Reading(rid, p, complex(v)) for rid, row in zip(ids, peaks) for p, v in zip(PEAKS, row)]

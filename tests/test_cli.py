@@ -127,6 +127,26 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--size", "30")
     assert code == 2
+    dens = tmp_path / "in.txt"
+    write_density(dens, np.eye(4) / 4)
+    readings = tmp_path / "r.csv"
+    for noise in ("nan", "inf"):
+        code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2",
+                           "--noise", noise, "--out", readings)
+        assert code == 2 and "sigma" in err
+    code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", tmp_path)
+    assert code == 2 and "error:" in err
+    run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", readings)
+    for threshold in ("nan", "inf", "0"):
+        code, _, err = run(capsys, "reconstruct", "--readings", readings, "--threshold", threshold,
+                           "--out", tmp_path / "out.txt")
+        assert code == 2 and "threshold" in err
+    code, _, err = run(capsys, "analyze", "--readouts", "all", "--threshold", "nan")
+    assert code == 2 and "threshold" in err
+    readings.write_text("1,left,nan,0\n1,right,0,0\n2,left,0,0\n2,right,0,0\n")
+    code, _, err = run(capsys, "reconstruct", "--readings", readings, "--out", tmp_path / "out.txt")
+    assert code == 2 and "line 1" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_exit_code_2_on_unknown_flag():
@@ -167,6 +187,11 @@ def test_threshold_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TOMOFORGE_THRESHOLD", "banana")
     code, _, err = run(capsys, "reconstruct", "--readings", readings, "--out", tmp_path / "o3.txt")
     assert code == 2 and "TOMOFORGE_THRESHOLD" in err
+    for bad in ("nan", "-inf", "-0.5"):
+        monkeypatch.setenv("TOMOFORGE_THRESHOLD", bad)
+        code, _, err = run(capsys, "reconstruct", "--readings", readings, "--out", tmp_path / "o4.txt")
+        assert code == 2 and "threshold" in err
+    assert not (tmp_path / "o4.txt").exists()
 
 
 def test_reconstruct_prior_file(capsys, tmp_path):

@@ -38,6 +38,9 @@ def test_parse_readings_skips_comments_and_blanks():
         ("x,left,0,0", "not an integer"),
         ("1,top,0,0", "peak"),
         ("1,left,abc,0", "could not parse"),
+        ("1,left,nan,0", "line 1: value is not finite"),
+        ("1,left,0,inf", "line 1: value is not finite"),
+        ("1,left,-1e999,0", "line 1: value is not finite"),
         ("1,left,0", "expected"),
     ],
 )
@@ -104,6 +107,9 @@ def test_density_shape_and_literal_errors():
     bad = "1+0i 0+0i 0+0i 0+$i\n" + "0+0i 1+0i 0+0i 0+0i\n" * 3
     with pytest.raises(ValidationError, match="unparseable"):
         parse_density(bad)
+    overflow = "1e999+0i 0+0i 0+0i 0+0i\n" + "0+0i 1+0i 0+0i 0+0i\n" * 3
+    with pytest.raises(ValidationError, match="line 1: .*not finite"):
+        parse_density(overflow)
 
 
 def test_density_format_examples():

@@ -89,8 +89,9 @@ def test_threshold_mechanics():
     # eigenvalues are sorted descending, so the tiny one sits last
     assert report.ill_determined[-1]
     assert report.eigenvalues[-1] == pytest.approx(1e-6)
-    with pytest.raises(ValidationError, match="positive"):
-        error_matrix_analysis(ns, threshold=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="positive"):
+            error_matrix_analysis(ns, threshold=bad)
 
 
 def test_quoted_combinations_lie_in_eigenspaces():
@@ -141,6 +142,10 @@ def test_rank_deficient_reconstruction_holds_prior():
     for lam, combo in result.truncated_directions:
         assert lam < 0.001
         assert combo.shape == (16,)
+    bad_prior = maximally_mixed_params()
+    bad_prior[3] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        reconstruct(assemble_design(ids, readings=readings), prior=bad_prior)
 
 
 def test_reconstruct_rejects_hopeless_threshold():

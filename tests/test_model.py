@@ -5,6 +5,7 @@ from tomoforge import (
     DIAGONAL_SLOTS,
     ROTATION_LABELS,
     TRACE_LABEL,
+    Reading,
     ValidationError,
     apply_rotation,
     assemble_design,
@@ -20,7 +21,7 @@ from tomoforge import (
     rotation_matrix,
     simulate_readings,
 )
-from conftest import random_hermitian
+from conftest import random_hermitian, random_trace_one_hermitian
 
 import goldens
 
@@ -226,17 +227,36 @@ def test_assemble_validation():
     readings = simulate_readings(np.eye(4) / 4, [1, 2])
     with pytest.raises(ValidationError, match="do not match"):
         assemble_design([1, 2, 3], readings=readings)
+    for bad in (complex("nan"), complex(0.0, float("inf")), complex(float("-inf"), 0.0)):
+        bad_readings = [readings[0], Reading(2, "left", bad)] + readings[2:]
+        with pytest.raises(ValidationError, match="not finite"):
+            assemble_design([1, 2], readings=bad_readings)
 
 
-def test_simulate_noiseless_matches_rotated_elements():
-    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
-    readings = simulate_readings(rho, range(1, 19))
-    assert len(readings) == 36
-    for rec in readings:
-        rotated = apply_rotation(rho, readout_label(rec.readout))
-        (li, lj), (ri, rj) = observable_positions(rec.readout)
-        i, j = (li, lj) if rec.peak == "left" else (ri, rj)
-        assert rec.value == pytest.approx(complex(rotated[i - 1, j - 1]), abs=1e-15)
+def test_simulate_noiseless_matches_rotated_elements(rng):
+    states = [goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real]
+    states += [random_trace_one_hermitian(rng) for _ in range(20)]
+    for rho in states:
+        readings = simulate_readings(rho, range(1, 19))
+        assert len(readings) == 36
+        for rec in readings:
+            rotated = apply_rotation(rho, readout_label(rec.readout))
+            (li, lj), (ri, rj) = observable_positions(rec.readout)
+            i, j = (li, lj) if rec.peak == "left" else (ri, rj)
+            assert rec.value == pytest.approx(complex(rotated[i - 1, j - 1]), abs=1e-15)
+
+
+def test_simulate_noise_draw_order(rng):
+    # noise is one seeded stream: ascending id, left before right, re before im
+    rho = random_trace_one_hermitian(rng)
+    ids = [13, 2, 7]
+    clean = simulate_readings(rho, ids)
+    noisy = simulate_readings(rho, ids, noise_sigma=0.05, seed=99)
+    assert [(r.readout, r.peak) for r in noisy] == [(i, p) for i in sorted(ids) for p in ("left", "right")]
+    draws = np.random.default_rng(99).normal(0.0, 0.05, 4 * len(ids))
+    clean_parts = np.array([[r.value.real, r.value.imag] for r in clean]).ravel()
+    noisy_parts = np.array([[r.value.real, r.value.imag] for r in noisy]).ravel()
+    np.testing.assert_array_equal(noisy_parts, clean_parts + draws)
 
 
 def test_simulate_mixed_state_reads_zero():
@@ -258,3 +278,10 @@ def test_simulate_validation():
         simulate_readings(np.eye(4) / 4, [1], noise_sigma=-0.1)
     with pytest.raises(ValidationError, match="trace"):
         simulate_readings(np.eye(4), [1])
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="sigma"):
+            simulate_readings(np.eye(4) / 4, [1], noise_sigma=sigma)
+    rho = np.eye(4) / 4
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        simulate_readings(rho, [1])
