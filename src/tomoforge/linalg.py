@@ -33,14 +33,18 @@ class SymEigen(NamedTuple):
 def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
     """Decompose a real symmetric matrix into eigenvalues and eigenvectors.
 
-    Raises ValidationError if the input is not square or not symmetric
-    within ``symmetry_tol``.
+    Raises ValidationError if the input is not square, not finite or not
+    symmetric within ``symmetry_tol``, or if the tolerance is not finite.
     """
+    if not 0 <= symmetry_tol < np.inf:
+        raise ValidationError(f"symmetry tolerance must be finite and >= 0, got {symmetry_tol}")
     s = np.asarray(matrix, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
     if s.size == 0:
         raise ValidationError("sym_eigen needs a non-empty matrix")
+    if not np.isfinite(s).all():
+        raise ValidationError("sym_eigen needs a finite matrix")
     asym = float(np.max(np.abs(s - s.T)))
     if asym > symmetry_tol:
         raise ValidationError(
@@ -57,11 +61,13 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
 
 def matrix_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``tol`` times the largest one."""
-    if tol <= 0:
-        raise ValidationError(f"rank tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"rank tolerance must be positive and finite, got {tol}")
     m = np.asarray(matrix)
     if m.ndim != 2 or m.size == 0:
         raise ValidationError(f"matrix_rank needs a non-empty 2-D matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix_rank needs a finite matrix")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[0] == 0.0:
         return 0

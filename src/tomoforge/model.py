@@ -35,25 +35,20 @@ N_PARAMS = 16
 PEAKS = ("left", "right")
 TRACE_LABEL = "trace"
 
+# x1..x10 are the upper triangle (diagonal included) in row-major order,
+# x11..x16 the imaginary parts of the strict upper triangle.
+_UPPER = np.triu_indices(4)
+_STRICT = np.triu_indices(4, 1)
+_OFF = _UPPER[0] != _UPPER[1]  # which of x1..x10 are real parts of coherences
 # 0-based parameter slots of the four diagonal entries (x1, x5, x8, x10).
-DIAGONAL_SLOTS = (0, 4, 7, 9)
+DIAGONAL_SLOTS = tuple(int(k) for k in np.flatnonzero(~_OFF))
+_TRACE_ROW = np.isin(np.arange(N_PARAMS), DIAGONAL_SLOTS).astype(float)
 
 _SQ2 = np.sqrt(2.0)
 # 90-degree rotations about x and y for a single spin, |1> = spin up.
 _HALF_TURN_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / _SQ2
 _HALF_TURN_Y = np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQ2
 _SINGLE_SPIN = {"I": np.eye(2, dtype=complex), "X": _HALF_TURN_X, "Y": _HALF_TURN_Y}
-
-# Upper-triangle position -> (real-part slot, imaginary-part slot), 0-based.
-_OFFDIAG_SLOTS = {
-    (0, 1): (1, 10),
-    (0, 2): (2, 11),
-    (0, 3): (3, 12),
-    (1, 2): (5, 13),
-    (1, 3): (6, 14),
-    (2, 3): (8, 15),
-}
-
 
 def _build_rotations() -> dict:
     mats = {}
@@ -65,22 +60,6 @@ def _build_rotations() -> dict:
 
 
 _ROTATIONS = _build_rotations()
-
-
-def _parameter_basis() -> np.ndarray:
-    basis = np.zeros((N_PARAMS, 4, 4), dtype=complex)
-    for slot, i in zip(DIAGONAL_SLOTS, range(4)):
-        basis[slot, i, i] = 1.0
-    for (i, j), (re_slot, im_slot) in _OFFDIAG_SLOTS.items():
-        basis[re_slot, i, j] = 1.0
-        basis[re_slot, j, i] = 1.0
-        basis[im_slot, i, j] = 1.0j
-        basis[im_slot, j, i] = -1.0j
-    basis.setflags(write=False)
-    return basis
-
-
-_BASIS = _parameter_basis()
 
 
 def rotation_matrix(label: str) -> np.ndarray:
@@ -122,12 +101,13 @@ def params_to_matrix(params) -> np.ndarray:
     x = np.asarray(params, dtype=float)
     if x.shape != (N_PARAMS,):
         raise ValidationError(f"expected {N_PARAMS} real parameters, got shape {x.shape}")
+    # the lower triangle is written as re - i*im, not by conj, which would
+    # turn a +0.0 imaginary part into -0.0
+    re, im = x[:10][_OFF], x[10:]
     m = np.zeros((4, 4), dtype=complex)
-    for slot, i in zip(DIAGONAL_SLOTS, range(4)):
-        m[i, i] = x[slot]
-    for (i, j), (re_slot, im_slot) in _OFFDIAG_SLOTS.items():
-        m[i, j] = x[re_slot] + 1.0j * x[im_slot]
-        m[j, i] = x[re_slot] - 1.0j * x[im_slot]
+    m[_UPPER] = x[:10]
+    m[_STRICT] = re + 1j * im
+    m[_STRICT[::-1]] = re - 1j * im
     return m
 
 
@@ -150,20 +130,16 @@ def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
             f"matrix is not Hermitian: elements ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
             f"differ by {dev[i, j]:.3e} (tolerance {hermiticity_tol:.1e})"
         )
-    x = np.zeros(N_PARAMS)
-    for slot, i in zip(DIAGONAL_SLOTS, range(4)):
-        x[slot] = m[i, i].real
-    for (i, j), (re_slot, im_slot) in _OFFDIAG_SLOTS.items():
-        x[re_slot] = m[i, j].real
-        x[im_slot] = m[i, j].imag
-    return x
+    return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
+
+
+_BASIS = np.array([params_to_matrix(e) for e in np.eye(N_PARAMS)])
+_BASIS.setflags(write=False)
 
 
 def maximally_mixed_params() -> np.ndarray:
     """Parameters of the maximally mixed state (identity / 4)."""
-    x = np.zeros(N_PARAMS)
-    x[list(DIAGONAL_SLOTS)] = 0.25
-    return x
+    return 0.25 * _TRACE_ROW
 
 
 def is_trace_normalized(params, tol: float = 1e-9) -> bool:
@@ -211,6 +187,18 @@ def _build_rows():
 
 
 _ROWS, _ROW_LABELS = _build_rows()
+# Each read-out's block A_r^T A_r of the normal matrix, and the trace row's.
+_GRAM = np.einsum("rki,rkj->rij", _ROWS, _ROWS)
+_TRACE_GRAM = np.outer(_TRACE_ROW, _TRACE_ROW)
+
+
+def _normal_matrices(ids) -> np.ndarray:
+    """A^T A (trace row included) for each row of an (n, k) array of read-out ids."""
+    columns = (np.asarray(ids) - 1).T
+    out = _TRACE_GRAM + _GRAM[columns[0]]
+    for column in columns[1:]:
+        out += _GRAM[column]  # in place: one (n, 16, 16) array at a time
+    return out
 
 
 def readout_rows(readout: int):
@@ -308,7 +296,7 @@ def assemble_design(
         rhs[:n] = np.array([values[(rid, p)] for rid in ids for p in PEAKS]).view(float)
     labels = [label for rid in ids for label in _ROW_LABELS[rid - 1]]
     if include_trace:
-        matrix[n, list(DIAGONAL_SLOTS)] = 1.0
+        matrix[n] = _TRACE_ROW
         rhs[n] = 1.0
         labels.append(TRACE_LABEL)
     return DesignSystem(matrix, rhs, tuple(labels))

@@ -1,9 +1,13 @@
 """Combinatorial search over read-out sets.
 
 A set of read-outs determines all 16 parameters iff its design system
-(with the trace row) has rank 16. These helpers check single sets, find the
-smallest workable size, exhaustively enumerate all full-rank sets of a given
-size, and rank sets by how well-conditioned their normal matrix is.
+(with the trace row) has rank 16. A set's normal matrix is a sum of fixed
+per-read-out blocks (``model._GRAM``), so sets are scored in batches: one
+``eigvalsh`` call gives each set's spectrum, and its rank is the count of
+eigenvalues above ``RANK_TOL`` times the largest. These helpers check single
+sets, find the smallest workable size, exhaustively enumerate all full-rank
+sets of a given size, and rank sets by how well-conditioned their normal
+matrix is.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import matrix_rank, sym_eigen
-from .lsq import normal_system
-from .model import N_PARAMS, N_READOUTS, assemble_design
+from .model import N_PARAMS, N_READOUTS, _normal_matrices, _validated_ids
 
 RANK_TOL = 1e-10
+# Subsets scored per eigvalsh call; larger batches raise peak memory.
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -32,24 +36,21 @@ class SetReport:
     eigenvalues: np.ndarray
 
 
-def _report(ids: tuple, design, rank: int) -> SetReport:
-    eig = sym_eigen(normal_system(design).matrix).eigenvalues
-    return SetReport(ids, rank, rank == N_PARAMS, float(eig[-1]), eig)
+def _spectra(sets):
+    """Descending normal-matrix spectra of equal-size id sets, and their ranks."""
+    eig = np.linalg.eigvalsh(_normal_matrices(sets))[:, ::-1]
+    return eig, np.count_nonzero(eig > RANK_TOL * eig[:, :1], axis=1)
 
 
 def set_report(readouts) -> SetReport:
-    design = assemble_design(readouts)
-    ids = tuple(sorted(int(r) for r in readouts))
-    return _report(ids, design, matrix_rank(design.matrix, RANK_TOL))
+    ids = tuple(_validated_ids(readouts))
+    eig, rank = _spectra([ids])
+    return SetReport(ids, int(rank[0]), bool(rank[0] == N_PARAMS), float(eig[0, -1]), eig[0])
 
 
 def minimum_readout_count() -> int:
     """Smallest k for which some k-read-out set has a full-rank design."""
-    for k in range(1, N_READOUTS + 1):
-        for combo in itertools.combinations(range(1, N_READOUTS + 1), k):
-            if matrix_rank(assemble_design(combo).matrix, RANK_TOL) == N_PARAMS:
-                return k
-    raise AssertionError("unreachable: the full 18-read-out design has rank 16")
+    return next(k for k in range(1, N_READOUTS + 1) if enumerate_minimal_sets(k))
 
 
 def enumerate_minimal_sets(size: int) -> list:
@@ -57,14 +58,18 @@ def enumerate_minimal_sets(size: int) -> list:
 
     Tests every one of the C(18, size) subsets; deterministic.
     """
-    if not 1 <= size <= N_READOUTS:
-        raise ValidationError(f"set size must be in 1..{N_READOUTS}, got {size}")
+    k = int(size)
+    if k != size or not 1 <= k <= N_READOUTS:
+        raise ValidationError(f"set size must be an integer in 1..{N_READOUTS}, got {size!r}")
+    combos = itertools.combinations(range(1, N_READOUTS + 1), k)
     out = []
-    for combo in itertools.combinations(range(1, N_READOUTS + 1), size):
-        design = assemble_design(combo)
-        rank = matrix_rank(design.matrix, RANK_TOL)
-        if rank == N_PARAMS:
-            out.append(_report(combo, design, rank))
+    while batch := list(itertools.islice(combos, _BATCH)):
+        eig, rank = _spectra(batch)
+        out += [
+            SetReport(ids, N_PARAMS, True, float(e[-1]), e.copy())
+            for ids, e, r in zip(batch, eig, rank)
+            if r == N_PARAMS
+        ]
     return out
 
 
@@ -72,11 +77,10 @@ def rank_sets_by_conditioning(reports, top=None) -> list:
     """Full-rank reports sorted by descending smallest eigenvalue.
 
     The key is the computed float, so sets whose smallest eigenvalues are
-    mathematically equal are ordered by rounding noise in the last bits (at
-    size 5, (5,7,11,13,17) at 0.9999999999999997 precedes (2,4,6,12,14) at
-    0.9999999999999993). Only bit-equal eigenvalues fall back to
-    lexicographic order on ids; the sort is stable, so duplicated reports
-    keep their input order. ``top`` limits the returned count.
+    mathematically equal are ordered by rounding noise in the last bits, not
+    by ids. Only bit-equal eigenvalues fall back to lexicographic order on
+    ids; the sort is stable, so duplicated reports keep their input order.
+    ``top`` limits the returned count.
     """
     ordered = sorted(
         (r for r in reports if r.full_rank),

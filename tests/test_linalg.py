@@ -48,6 +48,14 @@ def test_sym_eigen_rejects_bad_input():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValidationError, match="not symmetric"):
         sym_eigen(skew)
+    # NaN makes |S - S^T| NaN, which no tolerance comparison would catch
+    with pytest.raises(ValidationError, match="finite"):
+        sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValidationError, match="finite"):
+        sym_eigen(np.diag([1.0, np.inf]))
+    for tol in (np.nan, np.inf, -1e-10):
+        with pytest.raises(ValidationError, match="tolerance"):
+            sym_eigen(skew, symmetry_tol=tol)
 
 
 def test_rank_identity_and_single_row():
@@ -74,6 +82,12 @@ def test_rank_validation():
         matrix_rank(np.eye(2), tol=0.0)
     with pytest.raises(ValidationError, match="non-empty"):
         matrix_rank(np.zeros((0, 4)))
+    for tol in (np.nan, np.inf, -1e-10):
+        with pytest.raises(ValidationError, match="positive"):
+            matrix_rank(np.eye(2), tol=tol)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            matrix_rank(np.array([[1.0, bad]]))
 
 
 def test_spectral_norm_trivial_cases():

@@ -9,6 +9,7 @@ from tomoforge import (
     ValidationError,
     apply_rotation,
     assemble_design,
+    format_density,
     is_trace_normalized,
     matrix_rank,
     matrix_to_params,
@@ -83,6 +84,17 @@ def test_param_round_trip_random(rng):
     for _ in range(100):
         m = random_hermitian(rng)
         np.testing.assert_allclose(params_to_matrix(matrix_to_params(m)), m, atol=1e-12)
+
+
+def test_real_coherences_format_without_negative_zero():
+    # conj() would turn the +0.0 imaginary parts of the lower triangle into
+    # -0.0, which format_density writes out as "-0.0i"
+    psi = np.array([1.0, -1.0, 1.0, 1.0]) / 2
+    x = matrix_to_params(np.outer(psi, psi))
+    assert not x[10:].any()
+    m = params_to_matrix(x)
+    assert "-0.0" not in format_density(m)
+    assert not np.signbit(m.imag).any()
 
 
 def test_matrix_to_params_rejects_non_hermitian():

@@ -1,23 +1,33 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tomoforge import (
     ValidationError,
+    assemble_design,
     enumerate_minimal_sets,
+    matrix_rank,
     minimum_readout_count,
+    normal_system,
     rank_sets_by_conditioning,
     set_report,
 )
+from tomoforge.model import _normal_matrices
+from tomoforge.search import RANK_TOL, _spectra
 
 import goldens
 
 
 def test_set_report_first_golden_entry():
-    report = set_report(goldens.MINIMAL_SETS_5[0])
-    assert report.ids == (1, 2, 6, 12, 13)
-    assert report.rank == 16
-    assert report.full_rank
-    assert report.min_eigenvalue > 1e-10
+    first = goldens.MINIMAL_SETS_5[0]
+    # a one-shot iterator must be read once, for both the spectrum and ids
+    for readouts in (first, list(reversed(first)), iter(first)):
+        report = set_report(readouts)
+        assert report.ids == (1, 2, 6, 12, 13)
+        assert report.rank == 16
+        assert report.full_rank
+        assert report.min_eigenvalue > 1e-10
 
 
 def test_set_report_full_set():
@@ -56,6 +66,9 @@ def test_enumerate_edge_sizes():
         enumerate_minimal_sets(0)
     with pytest.raises(ValidationError, match="size"):
         enumerate_minimal_sets(19)
+    with pytest.raises(ValidationError, match="size"):
+        enumerate_minimal_sets(5.5)
+    assert len(enumerate_minimal_sets(5.0)) == 72
 
 
 def test_enumeration_deterministic():
@@ -103,3 +116,48 @@ def test_rank_sets_by_conditioning():
     assert all(full.min_eigenvalue > r.min_eigenvalue for r in reports)
     # non-full-rank reports are dropped
     assert rank_sets_by_conditioning([set_report([1, 2, 3, 4])]) == []
+
+
+def _all_spectra():
+    """(sets, descending spectra, ranks) in batches over all 2^18 - 1 read-out sets."""
+    for k in range(1, 19):
+        combos = itertools.combinations(range(1, 19), k)
+        while batch := list(itertools.islice(combos, 4096)):
+            yield (batch, *_spectra(batch))
+
+
+def test_rank_rests_on_a_wide_eigenvalue_gap():
+    # Every eigenvalue of every set's normal matrix is either null
+    # (|lambda| <= 1e-12, measured 2.8e-15) or at least 0.5 (measured
+    # 0.49999999999999734), and lambda_max <= 6. The rank cut
+    # RANK_TOL * lambda_max <= 6e-10 therefore sits deep inside the gap.
+    floor = 0.5 * (1 - 1e-12)
+    n_sets = 0
+    for batch, eig, rank in _all_spectra():
+        assert eig[:, 0].max() <= 6 * (1 + 1e-12)
+        upper = eig >= floor
+        assert np.all(upper | (np.abs(eig) <= 1e-12)), batch[0]
+        np.testing.assert_array_equal(rank, upper.sum(axis=1))
+        n_sets += len(batch)
+    assert n_sets == 2**18 - 1
+
+
+def test_batched_rank_matches_svd_rank(rng):
+    def svd_rank(ids):
+        return matrix_rank(assemble_design(ids).matrix, RANK_TOL)
+
+    for k in (4, 5):
+        sets = list(itertools.combinations(range(1, 19), k))
+        _, rank = _spectra(sets)
+        assert rank.tolist() == [svd_rank(ids) for ids in sets]
+    others = [k for k in range(1, 19) if k not in (4, 5)]
+    for _ in range(2000):
+        ids = rng.choice(np.arange(1, 19), size=int(rng.choice(others)), replace=False)
+        assert set_report(ids).rank == svd_rank(ids), sorted(ids)
+
+
+def test_table_normal_matrix_matches_design():
+    for sets in (goldens.MINIMAL_SETS_5, [tuple(range(1, 19))]):
+        for ids, gram in zip(sets, _normal_matrices(sets)):
+            expected = normal_system(assemble_design(ids)).matrix
+            np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-13)
