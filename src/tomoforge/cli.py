@@ -10,6 +10,7 @@ explicit --threshold flag wins over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -177,7 +178,14 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves it untouched and every default is immutable, so one call
+    cannot change what the next one parses; TOMOFORGE_THRESHOLD is read by
+    the commands, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="tomoforge",
         description="Read-out design and density-matrix reconstruction for 2-qubit NMR tomography.",

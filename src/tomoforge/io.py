@@ -2,8 +2,10 @@
 
 Readings file: one record per line, ``readout_id,peak,real,imag``, with
 ``#`` comment lines; header comments may carry ``# key=value`` metadata
-(noise_sigma, seed, source). Floats are written with repr, so a write/parse
-round trip is bit-exact.
+(noise_sigma, seed, source); a key or value with a line break in it is
+rejected. Floats are written with repr, so a write/parse round trip is
+bit-exact. The writers format the whole text before opening the file, so a
+rejected value leaves an existing file as it was.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
 ``a-bi``. Parsing checks Hermiticity: silent up to ``hermiticity_tol``
@@ -74,15 +76,19 @@ def parse_readings(text: str) -> list:
 def format_readings(readings: Iterable[Reading], metadata: Optional[dict] = None) -> str:
     lines = []
     for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
+        line = f"# {key}={value}"
+        if line.splitlines() != [line]:
+            raise ValidationError(f"metadata {key!r}={value!r} must not contain a line break")
+        lines.append(line)
     for r in readings:
         lines.append(f"{r.readout},{r.peak},{r.value.real!r},{r.value.imag!r}")
     return "\n".join(lines) + "\n"
 
 
 def write_readings(path, readings: Iterable[Reading], metadata: Optional[dict] = None) -> None:
+    text = format_readings(readings, metadata)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_readings(readings, metadata))
+        fh.write(text)
 
 
 def read_readings(path) -> list:
@@ -148,8 +154,9 @@ def format_density(matrix) -> str:
 
 
 def write_density(path, matrix) -> None:
+    text = format_density(matrix)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_density(matrix))
+        fh.write(text)
 
 
 def read_density(path, **kwargs) -> np.ndarray:

@@ -69,11 +69,22 @@ def rotation_matrix(label: str) -> np.ndarray:
     return _ROTATIONS[label]
 
 
+def _require_int_in_range(value, what: str) -> int:
+    """``value`` as an int if it equals an integer in 1..N_READOUTS.
+
+    Anything else, NaN, None and strings included, raises ValidationError.
+    """
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value or not 1 <= k <= N_READOUTS:
+        raise ValidationError(f"{what} must be an integer in 1..{N_READOUTS}, got {value!r}")
+    return k
+
+
 def require_readout_id(readout: int) -> int:
-    rid = int(readout)
-    if rid != readout or not 1 <= rid <= N_READOUTS:
-        raise ValidationError(f"read-out id must be an integer in 1..{N_READOUTS}, got {readout!r}")
-    return rid
+    return _require_int_in_range(readout, "read-out id")
 
 
 def readout_label(readout: int) -> str:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import N_PARAMS, N_READOUTS, _normal_matrices, _validated_ids
+from .model import N_PARAMS, N_READOUTS, _normal_matrices, _require_int_in_range, _validated_ids
 
 RANK_TOL = 1e-10
 # Subsets scored per eigvalsh call; larger batches raise peak memory.
@@ -58,9 +57,7 @@ def enumerate_minimal_sets(size: int) -> list:
 
     Tests every one of the C(18, size) subsets; deterministic.
     """
-    k = int(size)
-    if k != size or not 1 <= k <= N_READOUTS:
-        raise ValidationError(f"set size must be an integer in 1..{N_READOUTS}, got {size!r}")
+    k = _require_int_in_range(size, "set size")
     combos = itertools.combinations(range(1, N_READOUTS + 1), k)
     out = []
     while batch := list(itertools.islice(combos, _BATCH)):

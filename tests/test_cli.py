@@ -1,6 +1,13 @@
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tomoforge
 from tomoforge import (
     enumerate_minimal_sets,
     read_density,
@@ -207,3 +214,95 @@ def test_reconstruct_prior_file(capsys, tmp_path):
     assert "truncated directions:" in out
     rebuilt = read_density(tmp_path / "out.txt")
     np.testing.assert_allclose(rebuilt, rho, atol=1e-9)
+
+
+def fresh_process(*argv):
+    """Run a command in a new interpreter, where it is the first in its process."""
+    env = {k: v for k, v in os.environ.items() if k != "TOMOFORGE_THRESHOLD"}
+    env["PYTHONPATH"] = str(Path(tomoforge.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tomoforge.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def readings_file(capsys, tmp_path):
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    dens = tmp_path / "in.txt"
+    write_density(dens, rho)
+    readings = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "simulate", "--density", dens, "--readouts", "1,2,6,12",
+                     "--noise", "0.02", "--seed", "3", "--out", readings)
+    assert code == 0
+    return readings
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "analyze", "--readouts", "all")[0] == 0
+    assert run(capsys, "analyze", "--readouts", "1,2,3,4,5")[0] == 0
+    assert len(used) == 2 and used[0] is used[1]
+
+
+def test_reconstruct_flags_do_not_leak(capsys, monkeypatch, tmp_path, readings_file):
+    monkeypatch.delenv("TOMOFORGE_THRESHOLD", raising=False)
+    out_path = tmp_path / "out.txt"
+    first_out = fresh_process("reconstruct", "--readings", readings_file, "--out", out_path)
+    first_file = out_path.read_bytes()
+    out_path.unlink()
+    code, out, _ = run(capsys, "reconstruct", "--readings", readings_file, "--threshold", "0.3",
+                       "--psd-project", "--out", tmp_path / "flagged.txt")
+    assert code == 0 and "threshold: 0.3" in out
+    code, out, _ = run(capsys, "reconstruct", "--readings", readings_file, "--out", out_path)
+    assert code == 0
+    assert "threshold: 0.001" in out
+    assert out == first_out
+    assert out_path.read_bytes() == first_file
+
+
+def test_analyze_flags_do_not_leak(capsys, monkeypatch):
+    monkeypatch.delenv("TOMOFORGE_THRESHOLD", raising=False)
+    first_out = fresh_process("analyze", "--readouts", "all")
+    code, out, _ = run(capsys, "analyze", "--readouts", "all", "--no-trace")
+    assert code == 0 and "rank: 15 of 16" in out
+    code, out, _ = run(capsys, "analyze", "--readouts", "all")
+    assert code == 0
+    assert out == first_out
+
+
+def test_valid_command_after_argparse_rejection(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--readings", "r.csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "analyze", "--readouts", "all")
+    assert code == 0 and "rank: 16 of 16" in out
+
+
+def test_threshold_env_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.delenv("TOMOFORGE_THRESHOLD", raising=False)
+    code, out, _ = run(capsys, "analyze", "--readouts", "all")
+    assert code == 0 and "threshold: 0.001" in out
+    monkeypatch.setenv("TOMOFORGE_THRESHOLD", "0.05")
+    code, out, _ = run(capsys, "analyze", "--readouts", "all")
+    assert code == 0 and "threshold: 0.05" in out
+
+
+def test_simulate_rejects_line_break_in_source(capsys, tmp_path):
+    dens = tmp_path / "rho\n1,left,0,0"
+    write_density(dens, np.eye(4) / 4)
+    readings = tmp_path / "r.csv"
+    code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", readings)
+    assert code == 2 and "line break" in err
+    assert not readings.exists()

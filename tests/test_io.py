@@ -67,6 +67,31 @@ def test_readings_round_trip_is_bit_exact(tmp_path, rng):
     assert read_readings(path) == readings
 
 
+def test_readings_metadata_cannot_add_lines(tmp_path):
+    readings = [Reading(1, "left", 0.5 + 0j)]
+    for metadata in ({"source": "x\n1,left,0,0"}, {"source": "x\r"}, {"a\u2028b": 1},
+                     {"source": "x\x0c"}, {"seed\n2": 3}):
+        with pytest.raises(ValidationError, match="line break"):
+            format_readings(readings, metadata=metadata)
+    assert format_readings(readings, metadata={"source": ""}).splitlines()[0] == "# source="
+
+
+def test_failed_write_leaves_existing_file_unchanged(tmp_path):
+    dens = tmp_path / "rho.txt"
+    write_density(dens, goldens.RHO_PREDICTED)
+    before = dens.read_bytes()
+    with pytest.raises(ValidationError, match="4x4"):
+        write_density(dens, np.eye(3))
+    assert dens.read_bytes() == before
+    path = tmp_path / "readings.csv"
+    readings = simulate_readings(np.eye(4) / 4, [1, 2])
+    write_readings(path, readings, metadata={"seed": 0})
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match="line break"):
+        write_readings(path, readings, metadata={"source": "a\nb"})
+    assert path.read_bytes() == before
+
+
 def test_density_round_trip_exact(tmp_path, rng):
     for _ in range(20):
         m = random_hermitian(rng)

@@ -236,6 +236,11 @@ def test_assemble_validation():
         assemble_design([1, 1, 2])
     with pytest.raises(ValidationError, match="1..18"):
         assemble_design([0])
+    for bad in (float("nan"), float("inf"), None, "a", "3"):
+        with pytest.raises(ValidationError, match="read-out id"):
+            assemble_design([bad, 2])
+    with pytest.raises(ValidationError, match="read-out id"):
+        readout_label(None)
     readings = simulate_readings(np.eye(4) / 4, [1, 2])
     with pytest.raises(ValidationError, match="do not match"):
         assemble_design([1, 2, 3], readings=readings)

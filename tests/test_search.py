@@ -43,6 +43,12 @@ def test_set_report_four_readouts_not_full_rank():
     assert report.rank < 16
 
 
+def test_set_report_rejects_bad_ids():
+    for bad in ([float("nan"), 2], ["a"], [None], [0], [1, 1]):
+        with pytest.raises(ValidationError):
+            set_report(bad)
+
+
 def test_minimum_readout_count_is_five():
     assert minimum_readout_count() == 5
 
@@ -69,6 +75,9 @@ def test_enumerate_edge_sizes():
     with pytest.raises(ValidationError, match="size"):
         enumerate_minimal_sets(5.5)
     assert len(enumerate_minimal_sets(5.0)) == 72
+    for bad in (float("nan"), float("inf"), None, "5"):
+        with pytest.raises(ValidationError, match="size"):
+            enumerate_minimal_sets(bad)
 
 
 def test_enumeration_deterministic():
