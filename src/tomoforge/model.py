@@ -84,6 +84,10 @@ def _require_int_in_range(value, what: str) -> int:
 
 
 def require_readout_id(readout: int) -> int:
+    # Called for every id and reading of every acquisition: a plain in-range
+    # int returns without the conversion and the extra call.
+    if type(readout) is int and 1 <= readout <= N_READOUTS:
+        return readout
     return _require_int_in_range(readout, "read-out id")
 
 
