@@ -32,14 +32,14 @@ from .model import (
     matrix_to_params,
     maximally_mixed_params,
     params_to_matrix,
-    readout_label,
-    readout_spin,
     simulate_readings,
 )
 from .linalg import matrix_rank
 from .search import enumerate_minimal_sets, rank_sets_by_conditioning
 
 _ENV_THRESHOLD = "TOMOFORGE_THRESHOLD"
+# Coefficients smaller than this are left out of printed combinations.
+_TERM_CUTOFF = 5e-5
 
 
 def _fmt(value: float) -> str:
@@ -72,8 +72,8 @@ def _resolve_threshold(flag_value) -> float:
     return value
 
 
-def _combination_terms(coeffs, cutoff: float = 5e-5) -> str:
-    terms = [f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if abs(c) >= cutoff]
+def _combination_terms(coeffs) -> str:
+    terms = [f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if abs(c) >= _TERM_CUTOFF]
     return " ".join(terms) if terms else "0"
 
 

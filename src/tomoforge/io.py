@@ -3,7 +3,9 @@
 Readings file: one record per line, ``readout_id,peak,real,imag``, with
 ``#`` comment lines; header comments may carry ``# key=value`` metadata
 (noise_sigma, seed, source); a key or value with a line break in it is
-rejected. Floats are written with repr, so a write/parse round trip is
+rejected. The writer and the parser check every record by the rule
+``assemble_design`` applies, so a file the writer produces is one the parser
+reads. Floats are written with repr, so a write/parse round trip is
 bit-exact. The writers format the whole text before opening the file, so a
 rejected value leaves an existing file as it was.
 
@@ -16,7 +18,6 @@ an error above that.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 import warnings
 from typing import Iterable, Optional
@@ -24,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .model import N_READOUTS, PEAKS, Reading
+from .model import Reading, _add_reading, _hermiticity_defect
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_FLOAT})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
@@ -36,11 +37,11 @@ DEFAULT_HERMITICITY_ERROR_TOL = 1e-2
 def parse_readings(text: str) -> list:
     """Parse a readings file into Reading records.
 
-    Rejects malformed lines (reporting the line number), out-of-range ids,
-    unknown peaks and duplicate (id, peak) records.
+    Rejects malformed lines and any record ``assemble_design`` would reject
+    (bad id, unknown peak, non-finite value, repeated (id, peak)), naming
+    the line.
     """
-    out = []
-    seen = set()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,34 +55,29 @@ def parse_readings(text: str) -> list:
             rid = int(parts[0])
         except ValueError:
             raise ValidationError(f"line {lineno}: read-out id {parts[0]!r} is not an integer") from None
-        if not 1 <= rid <= N_READOUTS:
-            raise ValidationError(f"line {lineno}: read-out id {rid} out of range 1..{N_READOUTS}")
-        peak = parts[1]
-        if peak not in PEAKS:
-            raise ValidationError(f"line {lineno}: unknown peak {peak!r}; expected one of {PEAKS}")
         try:
-            re_part, im_part = float(parts[2]), float(parts[3])
+            value = complex(float(parts[2]), float(parts[3]))
         except ValueError:
             raise ValidationError(f"line {lineno}: could not parse value from {raw!r}") from None
-        if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise ValidationError(f"line {lineno}: value is not finite in {raw!r}")
-        key = (rid, peak)
-        if key in seen:
-            raise ValidationError(f"line {lineno}: duplicate record for read-out {rid}, {peak} peak")
-        seen.add(key)
-        out.append(Reading(rid, peak, complex(re_part, im_part)))
-    return out
+        try:
+            _add_reading(values, rid, parts[1], value)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+    return [Reading(rid, peak, value) for (rid, peak), value in values.items()]
 
 
 def format_readings(readings: Iterable[Reading], metadata: Optional[dict] = None) -> str:
+    """Readings file text; rejects every record ``parse_readings`` would."""
     lines = []
     for key, value in (metadata or {}).items():
         line = f"# {key}={value}"
         if line.splitlines() != [line]:
             raise ValidationError(f"metadata {key!r}={value!r} must not contain a line break")
         lines.append(line)
+    values = {}
     for r in readings:
-        lines.append(f"{r.readout},{r.peak},{r.value.real!r},{r.value.imag!r}")
+        _add_reading(values, r.readout, r.peak, r.value)
+    lines += [f"{rid},{peak},{z.real!r},{z.imag!r}" for (rid, peak), z in values.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -124,12 +120,7 @@ def parse_density(
     if len(rows) != 4:
         raise ValidationError(f"expected 4 matrix rows, got {len(rows)}")
     m = np.array(rows, dtype=complex)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > hermiticity_error_tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: worst element-pair deviation {dev:.3e} "
-            f"exceeds {hermiticity_error_tol:.1e}"
-        )
+    dev = _hermiticity_defect(m, hermiticity_error_tol)
     if dev > hermiticity_tol:
         warnings.warn(
             f"density matrix is only approximately Hermitian (deviation {dev:.3e})",

@@ -69,26 +69,21 @@ def rotation_matrix(label: str) -> np.ndarray:
     return _ROTATIONS[label]
 
 
-def _require_int_in_range(value, what: str) -> int:
-    """``value`` as an int if it equals an integer in 1..N_READOUTS.
-
-    Anything else, NaN, None and strings included, raises ValidationError.
-    """
+def _require_int_in_range(value, what: str = "read-out id") -> int:
+    """``value`` as an int if it equals an integer in 1..N_READOUTS; anything
+    else (NaN, None, strings, arrays) raises ValidationError."""
     try:
         k = int(value)
+        if k == value and 1 <= k <= N_READOUTS:
+            return k
     except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != value or not 1 <= k <= N_READOUTS:
-        raise ValidationError(f"{what} must be an integer in 1..{N_READOUTS}, got {value!r}")
-    return k
+        pass
+    raise ValidationError(f"{what} out of range: expected an integer in 1..{N_READOUTS}, got {value!r}")
 
 
 def require_readout_id(readout: int) -> int:
-    # Called for every id and reading of every acquisition: a plain in-range
-    # int returns without the conversion and the extra call.
-    if type(readout) is int and 1 <= readout <= N_READOUTS:
-        return readout
-    return _require_int_in_range(readout, "read-out id")
+    """The read-out id as an int; ValidationError unless it equals an integer in 1..18."""
+    return _require_int_in_range(readout)
 
 
 def readout_label(readout: int) -> str:
@@ -126,6 +121,20 @@ def params_to_matrix(params) -> np.ndarray:
     return m
 
 
+def _hermiticity_defect(m: np.ndarray, tol: float) -> float:
+    """Largest entry of |m - m^H|; above ``tol``, a ValidationError naming the pair."""
+    dev = np.abs(m - m.conj().T)
+    k = int(dev.argmax())
+    worst = float(dev.ravel()[k])
+    if worst > tol:
+        i, j = np.unravel_index(k, dev.shape)
+        raise ValidationError(
+            f"matrix is not Hermitian: elements ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
+            f"differ by {worst:.3e} (tolerance {tol:.1e})"
+        )
+    return worst
+
+
 def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
     """Read the 16 real parameters off a Hermitian 4x4 matrix.
 
@@ -138,13 +147,7 @@ def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
-    dev = np.abs(m - m.conj().T)
-    if np.max(dev) > hermiticity_tol:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise ValidationError(
-            f"matrix is not Hermitian: elements ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
-            f"differ by {dev[i, j]:.3e} (tolerance {hermiticity_tol:.1e})"
-        )
+    _hermiticity_defect(m, hermiticity_tol)
     return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
 
 
@@ -171,18 +174,6 @@ def apply_rotation(rho, label: str) -> np.ndarray:
     return r @ m @ r.conj().T
 
 
-# Conjugation by the rotations can only produce these coefficient magnitudes.
-_EXACT_COEFFICIENTS = np.array([0.0, 0.25, 0.5, 1.0, 1.0 / _SQ2, 0.5 / _SQ2])
-_EXACT_COEFFICIENTS = np.concatenate([_EXACT_COEFFICIENTS, -_EXACT_COEFFICIENTS[1:]])
-
-
-def _snap_coefficients(rows: np.ndarray) -> np.ndarray:
-    """Remove float dust from coefficients known to be exact values."""
-    dist = np.abs(rows[..., None] - _EXACT_COEFFICIENTS)
-    nearest = np.argmin(dist, axis=-1)
-    return np.where(np.min(dist, axis=-1) < 1e-12, _EXACT_COEFFICIENTS[nearest], rows)
-
-
 def _build_rows():
     """The 18x4x16 forward model and its row labels. Block rid-1 holds the
     equations of read-out rid (left re/im, right re/im), produced by
@@ -196,7 +187,10 @@ def _build_rows():
             rows[rid - 1, 2 * k] = rotated[:, i - 1, j - 1].real
             rows[rid - 1, 2 * k + 1] = rotated[:, i - 1, j - 1].imag
         labels.append(tuple((rid, p, part) for p in PEAKS for part in ("re", "im")))
-    rows = _snap_coefficients(rows)
+    # Each rotation is K / sqrt(2)^n with Gaussian-integer K and n <= 2, and each
+    # basis matrix has entries in {0, +-1, +-i}, so every coefficient of
+    # R B R^H is an exact multiple of 1/4: rounding removes the float dust.
+    rows = np.round(4 * rows) / 4
     rows.setflags(write=False)
     return rows, tuple(labels)
 
@@ -258,13 +252,27 @@ class DesignSystem:
 
 
 def _validated_ids(readouts: Iterable) -> list:
-    ids = [require_readout_id(r) for r in readouts]
+    ids = [_require_int_in_range(r) for r in readouts]
     if not ids:
         raise ValidationError("read-out set must not be empty")
     if len(set(ids)) != len(ids):
         dupes = sorted({r for r in ids if ids.count(r) > 1})
         raise ValidationError(f"duplicate read-out ids: {dupes}")
     return sorted(ids)
+
+
+def _add_reading(values: dict, readout, peak, value) -> None:
+    """Add one reading to ``values`` under (id, peak) if the id is valid, the
+    peak known, the value finite and (id, peak) not yet in ``values``."""
+    key = (_require_int_in_range(readout), peak)
+    if peak not in PEAKS:
+        raise ValidationError(f"unknown peak {peak!r}; expected one of {PEAKS}")
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"value is not finite for read-out {key[0]}, {peak} peak: {value!r}")
+    if key in values:
+        raise ValidationError(f"duplicate reading for read-out {key[0]}, {peak} peak")
+    values[key] = z
 
 
 def assemble_design(
@@ -284,16 +292,7 @@ def assemble_design(
     if readings is not None:
         values = {}
         for rec in readings:
-            key = (require_readout_id(rec.readout), rec.peak)
-            if rec.peak not in PEAKS:
-                raise ValidationError(f"unknown peak {rec.peak!r}; expected one of {PEAKS}")
-            if key in values:
-                raise ValidationError(f"duplicate reading for read-out {key[0]}, {key[1]} peak")
-            values[key] = complex(rec.value)
-            if not cmath.isfinite(values[key]):
-                raise ValidationError(
-                    f"reading for read-out {key[0]}, {key[1]} peak is not finite: {rec.value!r}"
-                )
+            _add_reading(values, rec.readout, rec.peak, rec.value)
         expected = {(rid, p) for rid in ids for p in PEAKS}
         if set(values) != expected:
             missing = sorted(expected - set(values))

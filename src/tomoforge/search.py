@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import N_PARAMS, N_READOUTS, _normal_matrices, _require_int_in_range, _validated_ids
 
 RANK_TOL = 1e-10
@@ -77,10 +78,16 @@ def rank_sets_by_conditioning(reports, top=None) -> list:
     mathematically equal are ordered by rounding noise in the last bits, not
     by ids. Only bit-equal eigenvalues fall back to lexicographic order on
     ids; the sort is stable, so duplicated reports keep their input order.
-    ``top`` limits the returned count.
+    ``top``, None or an integer, limits the returned count.
     """
+    try:
+        n = None if top is None else int(top)
+    except (TypeError, ValueError, OverflowError):
+        n = float("nan")  # unequal to anything, so rejected below
+    if n != top:
+        raise ValidationError(f"top must be None or an integer, got {top!r}")
     ordered = sorted(
         (r for r in reports if r.full_rank),
         key=lambda r: (-r.min_eigenvalue, r.ids),
     )
-    return ordered if top is None else ordered[: max(int(top), 0)]
+    return ordered if n is None else ordered[: max(n, 0)]

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tomoforge import (
     Reading,
@@ -118,6 +121,8 @@ def test_density_hermiticity_error_above_band():
     text = format_density(goldens.RHO_SIX_READOUTS)  # 0.05 defect as transcribed
     with pytest.raises(ValidationError, match="not Hermitian"):
         parse_density(text)
+    with pytest.raises(ValidationError, match=r"elements \(1,4\) and \(4,1\) differ by 5\.000e-02"):
+        parse_density(text)
     # configurable: widening the error band downgrades it to a warning
     with pytest.warns(UserWarning):
         parsed = parse_density(text, hermiticity_error_tol=0.1)
@@ -142,3 +147,48 @@ def test_density_format_examples():
     header = format_readings([Reading(1, "left", 0.31 + 0j)], metadata={"seed": 3})
     assert header.splitlines()[0] == "# seed=3"
     assert header.splitlines()[1] == "1,left,0.31,0.0"
+
+
+def _bits(readings):
+    return [(r.readout, r.peak, struct.pack("<dd", r.value.real, r.value.imag)) for r in readings]
+
+
+def _reading_lists(ids, peaks, floats, **kwargs):
+    value = st.builds(complex, floats, floats)
+    return st.lists(st.builds(Reading, ids, peaks, value), max_size=6, **kwargs)
+
+
+# Half the lists hold distinct valid records, so the round trip is
+# exercised, half range over bad ids, peaks and values; either may then
+# repeat a record.
+_VALID_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_READINGS = st.one_of(
+    _reading_lists(st.integers(1, 18), st.sampled_from(("left", "right")), _VALID_FLOATS,
+                   unique_by=lambda r: (r.readout, r.peak)),
+    _reading_lists(st.integers(-1, 20), st.sampled_from(("left", "right", "top", "left\n")), st.floats()),
+).flatmap(lambda rs: st.lists(st.sampled_from(rs), max_size=1).map(rs.__add__) if rs else st.just(rs))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_READINGS)
+def test_format_readings_writes_only_what_parse_reads_back(readings):
+    try:
+        text = format_readings(readings, metadata={"seed": 1})
+    except ValidationError:
+        return
+    assert _bits(parse_readings(text)) == _bits(readings)
+
+
+@pytest.mark.parametrize(
+    "readings,match",
+    [
+        ([Reading(19, "left", 0j)], "read-out id"),
+        ([Reading(1, "top", 0j)], "peak"),
+        ([Reading(1, "left", complex("nan"))], "not finite"),
+        ([Reading(1, "left", 0j), Reading(1, "left", 0.5 + 0j)], "duplicate"),
+        ([Reading(2, "left\n3,right,9", 0j)], "peak"),
+    ],
+)
+def test_format_readings_rejects_what_parse_rejects(readings, match):
+    with pytest.raises(ValidationError, match=match):
+        format_readings(readings)

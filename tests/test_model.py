@@ -9,7 +9,9 @@ from tomoforge import (
     ValidationError,
     apply_rotation,
     assemble_design,
+    enumerate_minimal_sets,
     format_density,
+    format_readings,
     is_trace_normalized,
     matrix_rank,
     matrix_to_params,
@@ -20,8 +22,10 @@ from tomoforge import (
     readout_rows,
     readout_spin,
     rotation_matrix,
+    set_report,
     simulate_readings,
 )
+from tomoforge.model import require_readout_id
 from conftest import random_hermitian, random_trace_one_hermitian
 
 import goldens
@@ -248,6 +252,36 @@ def test_assemble_validation():
         bad_readings = [readings[0], Reading(2, "left", bad)] + readings[2:]
         with pytest.raises(ValidationError, match="not finite"):
             assemble_design([1, 2], readings=bad_readings)
+
+
+BAD_IDS = (float("nan"), float("inf"), float("-inf"), None, "a", "3", 5.5, 0, 19, np.array([3]), 5 + 0j)
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_id_rule_is_one_rule_everywhere(bad):
+    readings = simulate_readings(np.eye(4) / 4, [2])
+    for call in (
+        lambda: require_readout_id(bad),
+        lambda: assemble_design([bad, 2]),
+        lambda: assemble_design([2], readings=readings + [Reading(bad, "left", 0j)]),
+        lambda: set_report([bad, 2]),
+        lambda: format_readings([Reading(bad, "left", 0j)]),
+    ):
+        with pytest.raises(ValidationError, match=r"read-out id out of range: .*1\.\.18"):
+            call()
+    with pytest.raises(ValidationError, match=r"set size out of range: .*1\.\.18"):
+        enumerate_minimal_sets(bad)
+
+
+@pytest.mark.parametrize("good", (True, np.int64(5), 5.0), ids=repr)
+def test_id_rule_accepts_values_equal_to_an_integer(good):
+    k = int(good)
+    assert require_readout_id(good) == k and type(require_readout_id(good)) is int
+    a, b = assemble_design([good, 7]), assemble_design([k, 7])
+    np.testing.assert_array_equal(a.matrix, b.matrix)
+    assert a.row_labels == b.row_labels
+    assert set_report([good, 7]).ids == tuple(sorted({k, 7}))
+    assert len(enumerate_minimal_sets(good)) == {1: 0, 5: 72}[k]
 
 
 def test_simulate_noiseless_matches_rotated_elements(rng):

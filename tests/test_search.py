@@ -125,6 +125,15 @@ def test_rank_sets_by_conditioning():
     assert all(full.min_eigenvalue > r.min_eigenvalue for r in reports)
     # non-full-rank reports are dropped
     assert rank_sets_by_conditioning([set_report([1, 2, 3, 4])]) == []
+    # top: None or anything equal to an integer; a negative one keeps nothing
+    assert rank_sets_by_conditioning(reports, top=-1) == []
+    assert rank_sets_by_conditioning(reports, top=0) == []
+    for top in (3.0, np.int64(3)):
+        assert rank_sets_by_conditioning(reports, top=top) == ordered[:3]
+    assert rank_sets_by_conditioning(reports, top=True) == ordered[:1]
+    for bad in (float("nan"), float("inf"), float("-inf"), "x", "3", 2.5, np.array([3]), 5 + 0j):
+        with pytest.raises(ValidationError, match="top"):
+            rank_sets_by_conditioning(reports, top=bad)
 
 
 def _all_spectra():
