@@ -34,8 +34,7 @@ from .model import (
     params_to_matrix,
     simulate_readings,
 )
-from .linalg import matrix_rank
-from .search import enumerate_minimal_sets, rank_sets_by_conditioning
+from .search import _rank, enumerate_minimal_sets, rank_sets_by_conditioning
 
 _ENV_THRESHOLD = "TOMOFORGE_THRESHOLD"
 # Coefficients smaller than this are left out of printed combinations.
@@ -81,9 +80,9 @@ def _cmd_analyze(args) -> int:
     ids = _parse_readout_ids(args.readouts)
     threshold = _resolve_threshold(args.threshold)
     design = assemble_design(ids, include_trace=not args.no_trace)
-    rank = matrix_rank(design.matrix)
     ns = normal_system(design)
     report = error_matrix_analysis(ns, threshold)
+    rank = _rank(report.eigenvalues)
     statuses = ["ill" if bad else "well" for bad in report.ill_determined]
 
     if args.format == "csv":

@@ -12,7 +12,8 @@ rejected value leaves an existing file as it was.
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
 ``a-bi``. Parsing checks Hermiticity: silent up to ``hermiticity_tol``
 (default 1e-6), a warning up to ``hermiticity_error_tol`` (default 1e-2),
-an error above that.
+an error above that. The writer refuses what the parser refuses at those
+defaults, so every file it writes parses back bit-exactly.
 """
 
 from __future__ import annotations
@@ -138,9 +139,15 @@ def _format_complex(value: complex) -> str:
 
 
 def format_density(matrix) -> str:
+    """Density file text; rejects every matrix ``parse_density`` rejects at
+    its default bounds (a non-finite entry, a Hermiticity defect above
+    ``DEFAULT_HERMITICITY_ERROR_TOL``)."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
+    _hermiticity_defect(m, DEFAULT_HERMITICITY_ERROR_TOL)
     return "\n".join(" ".join(_format_complex(v) for v in row) for row in m) + "\n"
 
 

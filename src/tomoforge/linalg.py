@@ -1,6 +1,9 @@
 """Small dense linear-algebra kernels: symmetric eigendecomposition with a
 fixed ordering/sign convention, singular-value rank, and the spectral norm.
 
+The package decides rank from normal-matrix spectra (``search._rank``);
+``matrix_rank`` is the reference kernel that cut is tested against.
+
 Everything here is a pure function of its inputs. The matrices this package
 cares about are at most 73x16, so clarity and reproducibility win over speed.
 """
@@ -69,8 +72,6 @@ def matrix_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     if not np.isfinite(m).all():
         raise ValidationError("matrix_rank needs a finite matrix")
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 

@@ -263,11 +263,17 @@ def _validated_ids(readouts: Iterable) -> list:
 
 def _add_reading(values: dict, readout, peak, value) -> None:
     """Add one reading to ``values`` under (id, peak) if the id is valid, the
-    peak known, the value finite and (id, peak) not yet in ``values``."""
+    peak known, the value a finite int, float, complex or numpy number (not a
+    string) and (id, peak) not yet in ``values``."""
     key = (_require_int_in_range(readout), peak)
     if peak not in PEAKS:
         raise ValidationError(f"unknown peak {peak!r}; expected one of {PEAKS}")
-    z = complex(value)
+    if not isinstance(value, (int, float, complex, np.number, np.bool_)):
+        raise ValidationError(f"value is not a number for read-out {key[0]}, {peak} peak: {value!r}")
+    try:
+        z = complex(value)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(cmath.inf)
     if not cmath.isfinite(z):
         raise ValidationError(f"value is not finite for read-out {key[0]}, {peak} peak: {value!r}")
     if key in values:

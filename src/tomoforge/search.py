@@ -3,11 +3,13 @@
 A set of read-outs determines all 16 parameters iff its design system
 (with the trace row) has rank 16. A set's normal matrix is a sum of fixed
 per-read-out blocks (``model._GRAM``), so sets are scored in batches: one
-``eigvalsh`` call gives each set's spectrum, and its rank is the count of
-eigenvalues above ``RANK_TOL`` times the largest. These helpers check single
-sets, find the smallest workable size, exhaustively enumerate all full-rank
-sets of a given size, and rank sets by how well-conditioned their normal
-matrix is.
+``eigvalsh`` call gives each set's spectrum. Rank is read off a spectrum by
+one cut, ``_rank``: the count of eigenvalues above ``RANK_TOL`` times the
+largest. ``cli analyze`` applies the same cut to the spectrum it prints, and
+the tests check it against the singular-value ``linalg.matrix_rank``. These
+helpers check single sets, find the smallest workable size, exhaustively
+enumerate all full-rank sets of a given size, and rank sets by how
+well-conditioned their normal matrix is.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ RANK_TOL = 1e-10
 _BATCH = 256
 
 
+def _rank(eig):
+    return np.count_nonzero(eig > RANK_TOL * eig.max(axis=-1, keepdims=True), axis=-1)
+
+
 @dataclass(frozen=True)
 class SetReport:
     """Rank and conditioning summary of one read-out set (trace row included)."""
@@ -39,7 +45,7 @@ class SetReport:
 def _spectra(sets):
     """Descending normal-matrix spectra of equal-size id sets, and their ranks."""
     eig = np.linalg.eigvalsh(_normal_matrices(sets))[:, ::-1]
-    return eig, np.count_nonzero(eig > RANK_TOL * eig[:, :1], axis=1)
+    return eig, _rank(eig)
 
 
 def set_report(readouts) -> SetReport:

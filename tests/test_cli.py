@@ -9,7 +9,9 @@ import pytest
 
 import tomoforge
 from tomoforge import (
+    assemble_design,
     enumerate_minimal_sets,
+    matrix_rank,
     read_density,
     relative_error,
     write_density,
@@ -76,6 +78,17 @@ def test_analyze_csv_matches_library(capsys):
     start = lines.index("# normal_matrix") + 1
     c = np.array([[float(v) for v in lines[start + i].split(",")] for i in range(16)])
     np.testing.assert_allclose(c, goldens.NORMAL_MATRIX_SIX, atol=1e-12)
+
+
+def test_analyze_csv_rank_is_the_svd_rank(capsys, rng):
+    for _ in range(40):
+        ids = rng.choice(np.arange(1, 19), size=int(rng.integers(1, 19)), replace=False)
+        for extra, trace in (([], True), (["--no-trace"], False)):
+            code, out, _ = run(capsys, "analyze", "--readouts", ",".join(map(str, ids)), "--format", "csv", *extra)
+            assert code == 0
+            assert out.splitlines()[1] == "rows,cols,trace_row,rank"
+            rank = int(out.splitlines()[2].split(",")[3])
+            assert rank == matrix_rank(assemble_design(ids, include_trace=trace).matrix)
 
 
 def test_enumerate_csv(capsys):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tomoforge import (
     ValidationError,
     format_density,
     format_readings,
+    params_to_matrix,
     parse_density,
     parse_readings,
     read_density,
@@ -17,6 +19,7 @@ from tomoforge import (
     write_density,
     write_readings,
 )
+from tomoforge.io import _format_complex
 from conftest import random_hermitian
 
 import goldens
@@ -86,6 +89,14 @@ def test_failed_write_leaves_existing_file_unchanged(tmp_path):
     with pytest.raises(ValidationError, match="4x4"):
         write_density(dens, np.eye(3))
     assert dens.read_bytes() == before
+    nan_matrix = np.eye(4) / 4
+    nan_matrix[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_density(dens, nan_matrix)
+    assert dens.read_bytes() == before
+    with pytest.raises(ValidationError, match=r"not Hermitian: elements \(1,4\) and \(4,1\)"):
+        write_density(dens, goldens.RHO_SIX_READOUTS)  # 0.05 defect, above the 1e-2 band
+    assert dens.read_bytes() == before
     path = tmp_path / "readings.csv"
     readings = simulate_readings(np.eye(4) / 4, [1, 2])
     write_readings(path, readings, metadata={"seed": 0})
@@ -118,7 +129,9 @@ def test_density_hermiticity_warning_band():
 
 
 def test_density_hermiticity_error_above_band():
-    text = format_density(goldens.RHO_SIX_READOUTS)  # 0.05 defect as transcribed
+    # 0.05 defect as transcribed; format_density refuses it, so the text is
+    # built entry by entry in the same format
+    text = "".join(" ".join(_format_complex(v) for v in row) + "\n" for row in goldens.RHO_SIX_READOUTS)
     with pytest.raises(ValidationError, match="not Hermitian"):
         parse_density(text)
     with pytest.raises(ValidationError, match=r"elements \(1,4\) and \(4,1\) differ by 5\.000e-02"):
@@ -187,8 +200,45 @@ def test_format_readings_writes_only_what_parse_reads_back(readings):
         ([Reading(1, "left", complex("nan"))], "not finite"),
         ([Reading(1, "left", 0j), Reading(1, "left", 0.5 + 0j)], "duplicate"),
         ([Reading(2, "left\n3,right,9", 0j)], "peak"),
+        ([Reading(1, "left", None)], "not a number"),
+        ([Reading(1, "left", "x")], "not a number"),
+        ([Reading(1, "left", "1")], "not a number"),
+        ([Reading(1, "left", b"1")], "not a number"),
+        ([Reading(1, "left", 10**400)], "not finite"),
     ],
 )
 def test_format_readings_rejects_what_parse_rejects(readings, match):
     with pytest.raises(ValidationError, match=match):
         format_readings(readings)
+
+
+def test_format_readings_accepts_numbers_and_numpy_scalars():
+    values = (1, 2.5, 1 - 2j, True, np.int64(3), np.float32(0.5), np.complex128(1j), np.bool_(True))
+    readings = [Reading(rid, "left", v) for rid, v in enumerate(values, start=1)]
+    assert [r.value for r in parse_readings(format_readings(readings))] == [complex(v) for v in values]
+
+
+_ENTRIES = st.one_of(st.floats(), st.floats(-1, 1), st.just(0.0), st.just(-0.0))
+# Half the matrices are arbitrary, half Hermitian up to an entrywise defect
+# that straddles the writer's and parser's 1e-2 error band.
+_MATRICES = st.one_of(
+    st.lists(st.builds(complex, _ENTRIES, _ENTRIES), min_size=16, max_size=16).map(
+        lambda v: np.array(v).reshape(4, 4)),
+    st.tuples(
+        st.lists(st.floats(-10, 10), min_size=16, max_size=16),
+        st.lists(st.floats(-2e-2, 2e-2), min_size=16, max_size=16),
+    ).map(lambda pair: params_to_matrix(pair[0]) + np.array(pair[1]).reshape(4, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_MATRICES)
+def test_format_density_writes_only_what_parse_reads_back(m):
+    try:
+        text = format_density(m)
+    except ValidationError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the warning band is not an error
+        parsed = parse_density(text)
+    assert parsed.tobytes() == np.asarray(m, dtype=complex).tobytes()

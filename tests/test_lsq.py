@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tomoforge import (
+    PEAKS,
     NumericalError,
+    Reading,
     ValidationError,
     assemble_design,
     chi2,
@@ -233,3 +236,36 @@ def test_psd_project(rng):
     assert np.trace(p).real == pytest.approx(np.trace(m).real, abs=1e-12)
     already = np.eye(4) / 4
     np.testing.assert_allclose(psd_project(already), already, atol=1e-12)
+
+
+_SETS = st.sampled_from(list(goldens.MINIMAL_SETS_5) + [tuple(range(1, 19))])
+# real and imaginary parts for up to 18 read-outs x 2 peaks
+_PARTS = st.lists(st.floats(-1, 1), min_size=72, max_size=72)
+
+
+def _readings(ids, parts):
+    it = iter(parts)
+    return [Reading(rid, p, complex(next(it), next(it))) for rid in ids for p in PEAKS]
+
+
+def _solve(ids, readings):
+    return reconstruct(assemble_design(ids, readings=readings))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_SETS, _PARTS, _PARTS, st.floats(-1, 2))
+def test_reconstruct_is_affine_in_the_readings(ids, r1, r2, alpha):
+    mixed = [alpha * a + (1 - alpha) * b for a, b in zip(r1, r2)]
+    x1, x2 = (_solve(ids, _readings(ids, r)).params for r in (r1, r2))
+    x = _solve(ids, _readings(ids, mixed)).params
+    np.testing.assert_allclose(x, alpha * x1 + (1 - alpha) * x2, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_SETS, _PARTS, st.data())
+def test_reading_order_leaves_reconstruction_bit_identical(ids, parts, data):
+    readings = _readings(ids, parts)
+    shuffled = data.draw(st.permutations(readings))
+    a, b = _solve(ids, readings), _solve(ids, shuffled)
+    assert a.params.tobytes() == b.params.tobytes()
+    assert np.float64(a.chi2).tobytes() == np.float64(b.chi2).tobytes()

@@ -252,6 +252,10 @@ def test_assemble_validation():
         bad_readings = [readings[0], Reading(2, "left", bad)] + readings[2:]
         with pytest.raises(ValidationError, match="not finite"):
             assemble_design([1, 2], readings=bad_readings)
+    for bad in (None, "x", "1", b"1"):
+        bad_readings = [readings[0], Reading(2, "left", bad)] + readings[2:]
+        with pytest.raises(ValidationError, match="not a number"):
+            assemble_design([1, 2], readings=bad_readings)
 
 
 BAD_IDS = (float("nan"), float("inf"), float("-inf"), None, "a", "3", 5.5, 0, 19, np.array([3]), 5 + 0j)

@@ -14,7 +14,7 @@ from tomoforge import (
     set_report,
 )
 from tomoforge.model import _normal_matrices
-from tomoforge.search import RANK_TOL, _spectra
+from tomoforge.search import RANK_TOL, _rank, _spectra
 
 import goldens
 
@@ -179,3 +179,34 @@ def test_table_normal_matrix_matches_design():
         for ids, gram in zip(sets, _normal_matrices(sets)):
             expected = normal_system(assemble_design(ids)).matrix
             np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-13)
+
+
+def _margin_batches(rng):
+    """Every set of sizes 4 and 5, then 2,000 seeded sets of the other sizes,
+    in lists of equal-size sets."""
+    for k in (4, 5):
+        yield list(itertools.combinations(range(1, 19), k))
+    sizes = rng.choice([k for k in range(1, 19) if k not in (4, 5)], size=2000)
+    for k in np.unique(sizes):
+        yield [tuple(sorted(rng.choice(np.arange(1, 19), size=k, replace=False).tolist()))
+               for _ in range(np.count_nonzero(sizes == k))]
+
+
+def test_rank_margin_without_trace_row(rng):
+    # The trace vector t has A t = 0 without the trace row and C t = 4 t with
+    # it, so the trace row turns one null eigenvalue into 4 and leaves the
+    # rest of the spectrum; the rank cut then sees the same gap either way.
+    n_sets = 0
+    for sets in _margin_batches(rng):
+        with_trace, _ = _spectra(sets)
+        designs = [assemble_design(ids, include_trace=False) for ids in sets]
+        without = np.linalg.eigvalsh([normal_system(d).matrix for d in designs])[:, ::-1]
+        four = np.abs(with_trace - 4).argmin(axis=1)
+        rows = np.arange(len(sets))
+        np.testing.assert_allclose(with_trace[rows, four], 4, rtol=0, atol=1e-12)
+        swapped = with_trace.copy()
+        swapped[rows, four] = 0
+        np.testing.assert_allclose(np.sort(swapped, axis=1)[:, ::-1], without, rtol=0, atol=1e-12)
+        assert _rank(without).tolist() == [matrix_rank(d.matrix) for d in designs]
+        n_sets += len(sets)
+    assert n_sets == 3060 + 8568 + 2000
