@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite_array
 from .model import Reading, _add_reading, _hermiticity_defect
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -142,11 +142,7 @@ def format_density(matrix) -> str:
     """Density file text; rejects every matrix ``parse_density`` rejects at
     its default bounds (a non-finite entry, a Hermiticity defect above
     ``DEFAULT_HERMITICITY_ERROR_TOL``)."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries")
+    m = _finite_array(matrix, (4, 4), "matrix", complex)
     _hermiticity_defect(m, DEFAULT_HERMITICITY_ERROR_TOL)
     return "\n".join(" ".join(_format_complex(v) for v in row) for row in m) + "\n"
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite_array
 
 SYMMETRY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -41,13 +41,9 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
     """
     if not 0 <= symmetry_tol < np.inf:
         raise ValidationError(f"symmetry tolerance must be finite and >= 0, got {symmetry_tol}")
-    s = np.asarray(matrix, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    s = _finite_array(matrix, (None, None), "sym_eigen matrix", float)
+    if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
-    if s.size == 0:
-        raise ValidationError("sym_eigen needs a non-empty matrix")
-    if not np.isfinite(s).all():
-        raise ValidationError("sym_eigen needs a finite matrix")
     asym = float(np.max(np.abs(s - s.T)))
     if asym > symmetry_tol:
         raise ValidationError(
@@ -66,18 +62,12 @@ def matrix_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``tol`` times the largest one."""
     if not 0 < tol < np.inf:
         raise ValidationError(f"rank tolerance must be positive and finite, got {tol}")
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.size == 0:
-        raise ValidationError(f"matrix_rank needs a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix_rank needs a finite matrix")
+    m = _finite_array(matrix, (None, None), "matrix_rank matrix")
     sv = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
 def spectral_norm(matrix) -> float:
     """Largest singular value of a real or complex matrix."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.size == 0:
-        raise ValidationError(f"spectral_norm needs a non-empty 2-D matrix, got shape {m.shape}")
+    m = _finite_array(matrix, (None, None), "spectral_norm matrix")
     return float(np.linalg.svd(m, compute_uv=False)[0])

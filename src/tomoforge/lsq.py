@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _finite_array
 from .linalg import spectral_norm, sym_eigen
-from .model import DesignSystem, maximally_mixed_params
+from .model import N_PARAMS, DesignSystem, maximally_mixed_params
 
 DEFAULT_THRESHOLD = 0.001
 
@@ -58,10 +58,9 @@ class ReconstructionResult:
 
 def normal_system(design: DesignSystem) -> NormalSystem:
     """Form C = A^T A and b = A^T B from a design system."""
-    a = np.asarray(design.matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValidationError(f"design system needs at least one row, got shape {a.shape}")
-    return NormalSystem(a.T @ a, a.T @ np.asarray(design.rhs, dtype=float))
+    a = _finite_array(design.matrix, (None, N_PARAMS), "design matrix", float)
+    b = _finite_array(design.rhs, (len(a),), "design rhs", float)
+    return NormalSystem(a.T @ a, a.T @ b)
 
 
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
@@ -73,7 +72,7 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
     return ErrorMatrixReport(
         eigenvalues=dec.eigenvalues,
         combinations=combos,
-        projected_rhs=combos @ ns.rhs,
+        projected_rhs=combos @ _finite_array(ns.rhs, (len(combos),), "normal rhs", float),
         ill_determined=dec.eigenvalues < threshold,
         threshold=float(threshold),
     )
@@ -81,7 +80,7 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
 
 def chi2(design: DesignSystem, params) -> float:
     """Sum of squared residuals of the design equations at ``params``."""
-    r = design.matrix @ np.asarray(params, dtype=float) - design.rhs
+    r = design.matrix @ _finite_array(params, (N_PARAMS,), "parameters", float) - design.rhs
     return float(r @ r)
 
 
@@ -93,11 +92,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     the maximally mixed state). Raises NumericalError when no combination
     at all clears the threshold.
     """
-    prior = maximally_mixed_params() if prior is None else np.asarray(prior, dtype=float)
-    if prior.shape != (16,):
-        raise ValidationError(f"prior must be 16 real parameters, got shape {prior.shape}")
-    if not np.isfinite(prior).all():
-        raise ValidationError("prior has non-finite parameters")
+    prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float)
     report = error_matrix_analysis(normal_system(design), threshold)
     kept = ~report.ill_determined
     if not kept.any():
@@ -122,9 +117,9 @@ def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:
     Note the denominator uses the first argument. The default is the
     spectral (largest-singular-value) norm; "frobenius" is also accepted.
     """
-    a = np.asarray(rho_exp, dtype=complex)
-    b = np.asarray(rho_ref, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _finite_array(rho_exp, (None, None), "rho_exp", complex)
+    b = _finite_array(rho_ref, (None, None), "rho_ref", complex)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected two square matrices of equal shape, got {a.shape} and {b.shape}")
     if norm == "spectral":
         denom = spectral_norm(a)
@@ -145,7 +140,9 @@ def psd_project(matrix) -> np.ndarray:
     Optional cosmetic post-step for reconstructed states; reconstruction
     itself never applies it.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _finite_array(matrix, (None, None), "psd_project matrix", complex)
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"psd_project needs a square matrix, got shape {m.shape}")
     h = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(h)
     clipped = np.clip(w, 0.0, None)

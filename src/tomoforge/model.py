@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite_array
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -108,9 +108,7 @@ def observable_positions(readout: int) -> tuple:
 
 def params_to_matrix(params) -> np.ndarray:
     """Assemble the 4x4 Hermitian matrix from its 16 real parameters."""
-    x = np.asarray(params, dtype=float)
-    if x.shape != (N_PARAMS,):
-        raise ValidationError(f"expected {N_PARAMS} real parameters, got shape {x.shape}")
+    x = _finite_array(params, (N_PARAMS,), "parameters", float)
     # the lower triangle is written as re - i*im, not by conj, which would
     # turn a +0.0 imaginary part into -0.0
     re, im = x[:10][_OFF], x[10:]
@@ -142,11 +140,7 @@ def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
     are copied verbatim). Rejects non-Hermitian input, naming the worst
     offending element pair.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries")
+    m = _finite_array(matrix, (4, 4), "matrix", complex)
     _hermiticity_defect(m, hermiticity_tol)
     return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
 
@@ -161,15 +155,13 @@ def maximally_mixed_params() -> np.ndarray:
 
 
 def is_trace_normalized(params, tol: float = 1e-9) -> bool:
-    x = np.asarray(params, dtype=float)
+    x = _finite_array(params, (N_PARAMS,), "parameters", float)
     return abs(float(x[list(DIAGONAL_SLOTS)].sum()) - 1.0) <= tol
 
 
 def apply_rotation(rho, label: str) -> np.ndarray:
     """Conjugate a Hermitian 4x4 matrix by one rotation: R . rho . R^dagger."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _finite_array(rho, (4, 4), "matrix", complex)
     r = rotation_matrix(label)
     return r @ m @ r.conj().T
 
@@ -330,9 +322,8 @@ def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: i
     imaginary part of every peak; the draw order is fixed (ascending id,
     left before right, real before imaginary), so a seed pins the output.
     """
-    m = np.asarray(rho, dtype=complex)
-    x = matrix_to_params(m)
-    tr = complex(np.trace(m))
+    x = matrix_to_params(rho)
+    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"density matrix must have trace 1, got {tr.real:.6g}")
     if not 0 <= noise_sigma < np.inf:
