@@ -2,7 +2,9 @@
 
 Every subcommand is a thin wrapper over the library; no numeric logic lives
 here. Exit codes: 0 success, 2 input validation failure or a file that
-cannot be read or written, 1 numerical failure. The TOMOFORGE_THRESHOLD
+cannot be read or written, 1 numerical failure. A reader that closes
+standard output early (``tomoforge enumerate --size 6 | head -1``) ends
+the command quietly: nothing on stderr, exit 0. The TOMOFORGE_THRESHOLD
 environment variable overrides the default truncation threshold; an
 explicit --threshold flag wins over it.
 """
@@ -236,7 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading; what is still buffered goes to devnull,
+        # so the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``_finite_array``, the one
-rule every public function applies to its array arguments.
+"""Exception types shared across the package, and the two rules every public
+function applies to its inputs: ``_finite_array`` to each array argument and
+``_tolerance`` to each tolerance or noise level.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
@@ -34,3 +35,14 @@ def _finite_array(value, shape: tuple, what: str, dtype=None) -> np.ndarray:
     if not finite:
         raise ValidationError(f"{what} has non-finite entries")
     return a
+
+
+def _tolerance(value, what: str) -> None:
+    """ValidationError unless ``0 <= value < inf`` (so NaN, infinities,
+    negatives and non-numbers are rejected)."""
+    try:
+        if 0 <= value < np.inf:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{what} must be finite and >= 0, got {value}")

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array
+from .errors import ValidationError, _finite_array, _tolerance
 from .model import Reading, _add_reading, _hermiticity_defect
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -109,6 +109,8 @@ def parse_density(
     hermiticity_error_tol: float = DEFAULT_HERMITICITY_ERROR_TOL,
 ) -> np.ndarray:
     """Parse a 4x4 complex matrix and check it is (close to) Hermitian."""
+    _tolerance(hermiticity_tol, "hermiticity tolerance")
+    _tolerance(hermiticity_error_tol, "hermiticity error tolerance")
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

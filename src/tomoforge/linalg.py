@@ -6,6 +6,9 @@ The package decides rank from normal-matrix spectra (``search._rank``);
 
 Everything here is a pure function of its inputs. The matrices this package
 cares about are at most 73x16, so clarity and reproducibility win over speed.
+Each kernel converts and checks its matrix with ``errors._finite_array``
+(numeric, non-empty, finite, 2-D) and ``sym_eigen`` its tolerance with
+``errors._tolerance``; ``matrix_rank``'s cut must be strictly positive.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array
+from .errors import ValidationError, _finite_array, _tolerance
 
 SYMMETRY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -39,18 +42,20 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
     Raises ValidationError if the input is not square, not finite or not
     symmetric within ``symmetry_tol``, or if the tolerance is not finite.
     """
-    if not 0 <= symmetry_tol < np.inf:
-        raise ValidationError(f"symmetry tolerance must be finite and >= 0, got {symmetry_tol}")
+    _tolerance(symmetry_tol, "symmetry tolerance")
     s = _finite_array(matrix, (None, None), "sym_eigen matrix", float)
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
-    asym = float(np.max(np.abs(s - s.T)))
+    # halved first, so neither S - S^T nor S + S^T can overflow; halving is
+    # exact outside the subnormal range
+    h = 0.5 * s
+    asym = 2.0 * float(np.max(np.abs(h - h.T)))
     if asym > symmetry_tol:
         raise ValidationError(
             f"matrix is not symmetric: max |S - S^T| entry is {asym:.3e} "
             f"(tolerance {symmetry_tol:.1e})"
         )
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
+    w, v = np.linalg.eigh(h + h.T)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]

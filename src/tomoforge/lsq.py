@@ -7,6 +7,11 @@ whose eigenvalue is large is insensitive to measurement error, while one
 with a tiny eigenvalue would amplify it. Reconstruction therefore solves
 each determined combination independently and holds every ill-determined
 one at a physically motivated prior instead of letting noise pick it.
+
+Every array a function here is given (the design matrix and rhs, the
+normal rhs, parameters, priors, density matrices) is converted and checked
+once by ``errors._finite_array``, so a NaN or a wrong shape is a
+ValidationError, never a NaN result.
 """
 
 from __future__ import annotations

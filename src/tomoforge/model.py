@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array
+from .errors import ValidationError, _finite_array, _tolerance
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -69,16 +69,17 @@ def rotation_matrix(label: str) -> np.ndarray:
     return _ROTATIONS[label]
 
 
-def _require_int_in_range(value, what: str = "read-out id") -> int:
-    """``value`` as an int if it equals an integer in 1..N_READOUTS; anything
-    else (NaN, None, strings, arrays) raises ValidationError."""
+def _require_int_in_range(value, what: str = "read-out id", lo=1, hi=N_READOUTS) -> int:
+    """``value`` as an int if it equals an integer in lo..hi (a bound of None is
+    no bound); anything else (NaN, None, strings, arrays) raises ValidationError."""
     try:
         k = int(value)
-        if k == value and 1 <= k <= N_READOUTS:
+        if k == value and (lo is None or lo <= k) and (hi is None or k <= hi):
             return k
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(f"{what} out of range: expected an integer in 1..{N_READOUTS}, got {value!r}")
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValidationError(f"{what} out of range: expected an integer{span}, got {value!r}")
 
 
 def require_readout_id(readout: int) -> int:
@@ -120,8 +121,11 @@ def params_to_matrix(params) -> np.ndarray:
 
 
 def _hermiticity_defect(m: np.ndarray, tol: float) -> float:
-    """Largest entry of |m - m^H|; above ``tol``, a ValidationError naming the pair."""
-    dev = np.abs(m - m.conj().T)
+    """Largest entry of |m - m^H|; above ``tol``, a ValidationError naming the pair.
+
+    An entry that overflows is inf, so it is rejected without a warning."""
+    with np.errstate(over="ignore"):
+        dev = np.abs(m - m.conj().T)
     k = int(dev.argmax())
     worst = float(dev.ravel()[k])
     if worst > tol:
@@ -140,6 +144,7 @@ def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
     are copied verbatim). Rejects non-Hermitian input, naming the worst
     offending element pair.
     """
+    _tolerance(hermiticity_tol, "hermiticity tolerance")
     m = _finite_array(matrix, (4, 4), "matrix", complex)
     _hermiticity_defect(m, hermiticity_tol)
     return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
@@ -155,6 +160,7 @@ def maximally_mixed_params() -> np.ndarray:
 
 
 def is_trace_normalized(params, tol: float = 1e-9) -> bool:
+    _tolerance(tol, "trace tolerance")
     x = _finite_array(params, (N_PARAMS,), "parameters", float)
     return abs(float(x[list(DIAGONAL_SLOTS)].sum()) - 1.0) <= tol
 
@@ -320,14 +326,15 @@ def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: i
     ``rho`` must be Hermitian with unit trace. Gaussian noise of standard
     deviation ``noise_sigma`` is added independently to the real and
     imaginary part of every peak; the draw order is fixed (ascending id,
-    left before right, real before imaginary), so a seed pins the output.
+    left before right, real before imaginary), so a seed, an integer >= 0,
+    pins the output.
     """
     x = matrix_to_params(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"density matrix must have trace 1, got {tr.real:.6g}")
-    if not 0 <= noise_sigma < np.inf:
-        raise ValidationError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
+    _tolerance(noise_sigma, "noise sigma")
+    seed = _require_int_in_range(seed, "seed", 0, None)
     ids = _validated_ids(readouts)
     values = _ROWS[np.array(ids) - 1] @ x
     if noise_sigma > 0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import N_PARAMS, N_READOUTS, _normal_matrices, _require_int_in_range, _validated_ids
 
 RANK_TOL = 1e-10
@@ -86,12 +85,7 @@ def rank_sets_by_conditioning(reports, top=None) -> list:
     ids; the sort is stable, so duplicated reports keep their input order.
     ``top``, None or an integer, limits the returned count.
     """
-    try:
-        n = None if top is None else int(top)
-    except (TypeError, ValueError, OverflowError):
-        n = float("nan")  # unequal to anything, so rejected below
-    if n != top:
-        raise ValidationError(f"top must be None or an integer, got {top!r}")
+    n = None if top is None else _require_int_in_range(top, "top", None, None)
     ordered = sorted(
         (r for r in reports if r.full_rank),
         key=lambda r: (-r.min_eigenvalue, r.ids),

@@ -154,6 +154,11 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2",
                            "--noise", noise, "--out", readings)
         assert code == 2 and "sigma" in err
+    for noise in (("--noise", "0.01"), ()):
+        code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--seed", "-1",
+                           *noise, "--out", readings)
+        assert code == 2 and "seed out of range" in err
+        assert not readings.exists()
     code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", tmp_path)
     assert code == 2 and "error:" in err
     run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", readings)
@@ -229,14 +234,38 @@ def test_reconstruct_prior_file(capsys, tmp_path):
     np.testing.assert_allclose(rebuilt, rho, atol=1e-9)
 
 
-def fresh_process(*argv):
-    """Run a command in a new interpreter, where it is the first in its process."""
+def _fresh_env():
     env = {k: v for k, v in os.environ.items() if k != "TOMOFORGE_THRESHOLD"}
     env["PYTHONPATH"] = str(Path(tomoforge.__file__).parents[1])
+    return env
+
+
+def fresh_process(*argv):
+    """Run a command in a new interpreter, where it is the first in its process."""
     proc = subprocess.run([sys.executable, "-m", "tomoforge.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("size", [6, 4])
+def test_closed_stdout_ends_quietly(size):
+    """A reader that stops early (``| head -1``) is no error: no stderr, exit 0.
+
+    The read end is closed before the command starts, so its first write to
+    the (block-buffered) stdout fails: during the run for size 6, whose
+    1,183 lines overflow the buffer, at the final flush for size 4, whose
+    one line does not."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tomoforge.cli", "enumerate", "--size", str(size)],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.fixture

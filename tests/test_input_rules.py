@@ -1,0 +1,182 @@
+"""The input rules every public function shares: one array rule
+(``errors._finite_array``), one tolerance rule (``errors._tolerance``) and one
+integer rule (``model._require_int_in_range``), each raising ValidationError."""
+
+import numpy as np
+import pytest
+
+from tomoforge import (
+    DesignSystem,
+    NormalSystem,
+    ValidationError,
+    apply_rotation,
+    assemble_design,
+    chi2,
+    error_matrix_analysis,
+    format_density,
+    is_trace_normalized,
+    matrix_rank,
+    matrix_to_params,
+    maximally_mixed_params,
+    normal_system,
+    params_to_matrix,
+    parse_density,
+    psd_project,
+    reconstruct,
+    relative_error,
+    simulate_readings,
+    spectral_norm,
+    sym_eigen,
+)
+from tomoforge.errors import _finite_array, _tolerance
+
+RHO = np.eye(4) / 4
+PARAMS = maximally_mixed_params()
+DESIGN = assemble_design([1, 2, 6, 12, 13], readings=simulate_readings(RHO, [1, 2, 6, 12, 13]))
+NS = normal_system(DESIGN)
+
+
+def _with_matrix(matrix):
+    return DesignSystem(matrix, DESIGN.rhs, DESIGN.row_labels)
+
+
+def _with_rhs(rhs):
+    return DesignSystem(DESIGN.matrix, rhs, DESIGN.row_labels)
+
+
+# Every array argument of the 14 functions that check arrays: the call with
+# the argument under test replaced, and a valid value of that argument.
+ARRAY_ARGUMENTS = {
+    "params_to_matrix": (params_to_matrix, PARAMS),
+    "matrix_to_params": (matrix_to_params, RHO),
+    "is_trace_normalized": (is_trace_normalized, PARAMS),
+    "apply_rotation": (lambda a: apply_rotation(a, "XY"), RHO),
+    "normal_system matrix": (lambda a: normal_system(_with_matrix(a)), DESIGN.matrix),
+    "normal_system rhs": (lambda a: normal_system(_with_rhs(a)), DESIGN.rhs),
+    "error_matrix_analysis rhs": (lambda a: error_matrix_analysis(NormalSystem(NS.matrix, a)), NS.rhs),
+    "chi2 params": (lambda a: chi2(DESIGN, a), PARAMS),
+    "reconstruct prior": (lambda a: reconstruct(DESIGN, prior=a), PARAMS),
+    "reconstruct rhs": (lambda a: reconstruct(_with_rhs(a)), DESIGN.rhs),
+    "relative_error rho_exp": (lambda a: relative_error(a, RHO), RHO),
+    "relative_error rho_ref": (lambda a: relative_error(RHO, a), RHO),
+    "relative_error frobenius": (lambda a: relative_error(a, RHO, "frobenius"), RHO),
+    "psd_project": (psd_project, RHO),
+    "sym_eigen": (sym_eigen, NS.matrix),
+    "matrix_rank": (matrix_rank, DESIGN.matrix),
+    "spectral_norm": (spectral_norm, RHO),
+    "format_density": (format_density, RHO),
+}
+
+
+def _entry_set(good, index, value):
+    bad = np.array(good, dtype=complex if np.iscomplexobj(good) else float)
+    bad.flat[index] = value
+    return bad
+
+
+BAD_VALUES = {
+    "nan": lambda good: _entry_set(good, 0, np.nan),
+    "inf": lambda good: _entry_set(good, -1, -np.inf),
+    "extra axis": lambda good: np.asarray(good)[np.newaxis],
+    "empty": lambda good: np.asarray(good)[:0],
+    "non-numeric": lambda good: np.full(np.shape(good), "x").tolist(),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+def test_every_array_argument_rejects_bad_arrays(argument, bad):
+    call, good = ARRAY_ARGUMENTS[argument]
+    call(good)  # the valid value passes
+    with pytest.raises(ValidationError):
+        call(BAD_VALUES[bad](good))
+
+
+GAPS = {
+    "rhs of length 3": lambda: reconstruct(_with_rhs(np.zeros(3))),
+    "3-column design": lambda: reconstruct(_with_matrix(DESIGN.matrix[:, :3])),
+    "3 parameters in chi2": lambda: chi2(DESIGN, [0] * 3),
+    "is_trace_normalized of one number": lambda: is_trace_normalized([1]),
+}
+
+
+@pytest.mark.parametrize("gap", GAPS)
+def test_wrong_lengths_are_validation_errors(gap):
+    with pytest.raises(ValidationError):
+        GAPS[gap]()
+
+
+def test_array_rule_messages():
+    with pytest.raises(ValidationError, match=r"design matrix must be a non-empty array of shape \*x16, got shape \(21, 3\)"):
+        normal_system(_with_matrix(DESIGN.matrix[:, :3]))
+    with pytest.raises(ValidationError, match="^prior has non-finite entries$"):
+        reconstruct(DESIGN, prior=np.full(16, np.nan))
+    for value in (object(), [[1.0, 2.0], [3.0]], [1j] * 16, "x"):
+        with pytest.raises(ValidationError, match="^parameters must be a numeric array, got "):
+            _finite_array(value, (16,), "parameters", float)
+
+
+def test_array_rule_keeps_the_dtype():
+    ints = np.arange(6).reshape(2, 3)
+    assert _finite_array(ints, (None, None), "m").dtype == ints.dtype
+    assert _finite_array(ints, (2, 3), "m", float).dtype == float
+    assert _finite_array([[1, 2]], (1, None), "m", complex).dtype == complex
+    a = np.ones((3, 16))
+    assert _finite_array(a, (None, 16), "m", float) is a  # no copy
+
+
+def test_tolerance_rule():
+    for good in (0, 1e-9, np.float64(0.5)):
+        _tolerance(good, "t")
+    for bad in (float("nan"), float("inf"), -1e-12, "0.1", None, np.array([0.1, 0.2])):
+        with pytest.raises(ValidationError, match="^t must be finite and >= 0, got "):
+            _tolerance(bad, "t")
+
+
+def test_nan_tolerances_no_longer_let_everything_through():
+    skew = RHO.astype(complex)
+    skew[0, 1] = 0.5
+    with pytest.raises(ValidationError, match="hermiticity tolerance"):
+        matrix_to_params(skew, hermiticity_tol=np.nan)
+    # a 1e-3 defect: within the error band, so only the warning tolerance
+    # decides, and a NaN one used to let it pass silently
+    text = format_density(RHO).replace("0.25+0.0i 0.0+0.0i", "0.25+0.0i 0.001+0.0i", 1)
+    for tols in ((np.nan, np.nan), (1e-6, np.nan), (np.nan, 1e-2), (-1.0, 1e-2), (1e-6, "x")):
+        with pytest.raises(ValidationError, match="tolerance"):
+            parse_density(text, *tols)
+    with pytest.raises(ValidationError, match="trace tolerance"):
+        is_trace_normalized(PARAMS, tol=np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_near_the_float_limit_are_rejected_without_a_warning():
+    m = np.zeros((4, 4))
+    m[0, 3], m[3, 0] = 1.5e308, -1.5e308  # m - m^H overflows
+    with pytest.raises(ValidationError, match=r"elements \(1,4\) and \(4,1\) differ by inf"):
+        format_density(m)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        matrix_to_params(m)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        parse_density("\n".join(" ".join(f"{float(v)!r}+0.0i" for v in row) for row in m))
+    with pytest.raises(ValidationError, match="not symmetric"):
+        sym_eigen(m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sym_eigen_near_the_float_limit():
+    dec = sym_eigen(np.diag([1e308, 1.0]))
+    np.testing.assert_array_equal(dec.eigenvalues, [1e308, 1.0])
+    np.testing.assert_array_equal(dec.vectors, np.eye(2))
+    dec = sym_eigen(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    np.testing.assert_allclose(dec.eigenvalues, [1e308, -1e308], rtol=1e-15)
+
+
+def test_seed_is_an_integer_at_least_zero():
+    for sigma in (0.0, 0.01):
+        for seed in (-1, 1.5, "1", None, np.nan):
+            with pytest.raises(ValidationError, match="seed out of range: expected an integer >= 0"):
+                simulate_readings(RHO, [1], noise_sigma=sigma, seed=seed)
+    base = simulate_readings(RHO, [1, 2], noise_sigma=0.01, seed=5)
+    for same in (5.0, np.int64(5), np.uint8(5)):
+        assert simulate_readings(RHO, [1, 2], noise_sigma=0.01, seed=same) == base
+    simulate_readings(RHO, [1], noise_sigma=0.01, seed=2**70)  # no upper bound
