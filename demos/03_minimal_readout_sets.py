@@ -27,7 +27,7 @@ print(f"\nfull-rank 5-sets: {len(reports)} of {sum(1 for _ in itertools.combinat
 print("first and last in lexicographic order:")
 print("  ", reports[0].ids, "...", reports[-1].ids)
 
-ranked = rank_sets_by_conditioning(reports, top=8)
+ranked = rank_sets_by_conditioning(reports)[:8]
 print("\nbest-conditioned 5-sets (largest smallest-eigenvalue first):")
 for r in ranked:
     print(f"  {r.ids}: min eigenvalue {r.min_eigenvalue:.3f}")

@@ -1,6 +1,5 @@
-"""Exception types shared across the package, and the two rules every public
-function applies to its inputs: ``_finite_array`` to each array argument and
-``_tolerance`` to each tolerance or noise level.
+"""Exception types shared across the package, and ``_finite_array``, the rule
+every public function applies to each array argument.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
@@ -18,13 +17,21 @@ class NumericalError(RuntimeError):
 
 
 def _finite_array(value, shape: tuple, what: str, dtype=None) -> np.ndarray:
-    """``np.asarray(value, dtype)``; ValidationError unless that is numeric,
-    non-empty, finite and of ``shape``, in which ``None`` matches any length."""
+    """``np.asarray(value, dtype)``; ValidationError unless ``value`` is numeric
+    (not strings, bytes or objects; not complex if ``dtype`` is real) and the
+    result non-empty, finite and of ``shape``, in which ``None`` matches any
+    length."""
+    a = None
     try:
-        a = np.asarray(value, dtype=dtype)
+        a = np.asarray(value)
+        kind = a.dtype.kind
+        if kind not in "biufc" or (kind == "c" and np.dtype(dtype or complex).kind != "c"):
+            raise TypeError  # strings, bytes, objects; complex where real is expected
+        a = np.asarray(a, dtype=dtype)
         finite = np.count_nonzero(np.isfinite(a)) == a.size
-    except (TypeError, ValueError):  # strings, ragged lists, arbitrary objects
-        raise ValidationError(f"{what} must be a numeric array, got {type(value).__name__}") from None
+    except (TypeError, ValueError):  # also ragged lists
+        got = type(value).__name__ if a is None else f"{type(value).__name__} of {a.dtype}"
+        raise ValidationError(f"{what} must be a numeric array, got {got}") from None
     if a.shape != shape:  # a wildcard in ``shape``, or a wrong shape
         fits = a.ndim == len(shape) and a.size > 0
         for n, m in zip(shape, a.shape):
@@ -36,13 +43,3 @@ def _finite_array(value, shape: tuple, what: str, dtype=None) -> np.ndarray:
         raise ValidationError(f"{what} has non-finite entries")
     return a
 
-
-def _tolerance(value, what: str) -> None:
-    """ValidationError unless ``0 <= value < inf`` (so NaN, infinities,
-    negatives and non-numbers are rejected)."""
-    try:
-        if 0 <= value < np.inf:
-            return
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(f"{what} must be finite and >= 0, got {value}")

@@ -10,10 +10,10 @@ bit-exact. The writers format the whole text before opening the file, so a
 rejected value leaves an existing file as it was.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
-``a-bi``. Parsing checks Hermiticity: silent up to ``hermiticity_tol``
-(default 1e-6), a warning up to ``hermiticity_error_tol`` (default 1e-2),
-an error above that. The writer refuses what the parser refuses at those
-defaults, so every file it writes parses back bit-exactly.
+``a-bi``. Parsing checks Hermiticity: silent up to ``HERMITICITY_WARN_TOL``,
+a warning up to ``HERMITICITY_ERROR_TOL``, an error above that. The writer
+refuses what the parser refuses, so every file it writes parses back
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array, _tolerance
+from .errors import ValidationError, _finite_array
 from .model import Reading, _add_reading, _hermiticity_defect
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^({_FLOAT})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
 
-DEFAULT_HERMITICITY_TOL = 1e-6
-DEFAULT_HERMITICITY_ERROR_TOL = 1e-2
+HERMITICITY_WARN_TOL = 1e-6
+HERMITICITY_ERROR_TOL = 1e-2
 
 
 def parse_readings(text: str) -> list:
@@ -103,14 +103,8 @@ def _parse_complex(token: str, lineno: int):
     return value
 
 
-def parse_density(
-    text: str,
-    hermiticity_tol: float = DEFAULT_HERMITICITY_TOL,
-    hermiticity_error_tol: float = DEFAULT_HERMITICITY_ERROR_TOL,
-) -> np.ndarray:
+def parse_density(text: str) -> np.ndarray:
     """Parse a 4x4 complex matrix and check it is (close to) Hermitian."""
-    _tolerance(hermiticity_tol, "hermiticity tolerance")
-    _tolerance(hermiticity_error_tol, "hermiticity error tolerance")
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,8 +117,8 @@ def parse_density(
     if len(rows) != 4:
         raise ValidationError(f"expected 4 matrix rows, got {len(rows)}")
     m = np.array(rows, dtype=complex)
-    dev = _hermiticity_defect(m, hermiticity_error_tol)
-    if dev > hermiticity_tol:
+    dev = _hermiticity_defect(m, HERMITICITY_ERROR_TOL)
+    if dev > HERMITICITY_WARN_TOL:
         warnings.warn(
             f"density matrix is only approximately Hermitian (deviation {dev:.3e})",
             stacklevel=2,
@@ -141,11 +135,10 @@ def _format_complex(value: complex) -> str:
 
 
 def format_density(matrix) -> str:
-    """Density file text; rejects every matrix ``parse_density`` rejects at
-    its default bounds (a non-finite entry, a Hermiticity defect above
-    ``DEFAULT_HERMITICITY_ERROR_TOL``)."""
+    """Density file text; rejects every matrix ``parse_density`` rejects (a
+    non-finite entry, a Hermiticity defect above ``HERMITICITY_ERROR_TOL``)."""
     m = _finite_array(matrix, (4, 4), "matrix", complex)
-    _hermiticity_defect(m, DEFAULT_HERMITICITY_ERROR_TOL)
+    _hermiticity_defect(m, HERMITICITY_ERROR_TOL)
     return "\n".join(" ".join(_format_complex(v) for v in row) for row in m) + "\n"
 
 
@@ -155,6 +148,6 @@ def write_density(path, matrix) -> None:
         fh.write(text)
 
 
-def read_density(path, **kwargs) -> np.ndarray:
+def read_density(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        return parse_density(fh.read(), **kwargs)
+        return parse_density(fh.read())

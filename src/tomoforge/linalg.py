@@ -1,14 +1,15 @@
 """Small dense linear-algebra kernels: symmetric eigendecomposition with a
 fixed ordering/sign convention, singular-value rank, and the spectral norm.
 
-The package decides rank from normal-matrix spectra (``search._rank``);
-``matrix_rank`` is the reference kernel that cut is tested against.
+``SYMMETRY_TOL`` is the largest |S - S^T| entry ``sym_eigen`` accepts. A
+singular value, or in ``search._rank`` a normal-matrix eigenvalue, counts
+toward rank above ``RANK_TOL`` times the largest; ``matrix_rank`` is the
+reference kernel that spectral cut is tested against.
 
 Everything here is a pure function of its inputs. The matrices this package
 cares about are at most 73x16, so clarity and reproducibility win over speed.
 Each kernel converts and checks its matrix with ``errors._finite_array``
-(numeric, non-empty, finite, 2-D) and ``sym_eigen`` its tolerance with
-``errors._tolerance``; ``matrix_rank``'s cut must be strictly positive.
+(numeric, non-empty, finite, 2-D).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array, _tolerance
+from .errors import ValidationError, _finite_array
 
 SYMMETRY_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 class SymEigen(NamedTuple):
@@ -36,13 +37,12 @@ class SymEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
+def sym_eigen(matrix) -> SymEigen:
     """Decompose a real symmetric matrix into eigenvalues and eigenvectors.
 
     Raises ValidationError if the input is not square, not finite or not
-    symmetric within ``symmetry_tol``, or if the tolerance is not finite.
+    symmetric within ``SYMMETRY_TOL``.
     """
-    _tolerance(symmetry_tol, "symmetry tolerance")
     s = _finite_array(matrix, (None, None), "sym_eigen matrix", float)
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
@@ -50,10 +50,10 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
     # exact outside the subnormal range
     h = 0.5 * s
     asym = 2.0 * float(np.max(np.abs(h - h.T)))
-    if asym > symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise ValidationError(
             f"matrix is not symmetric: max |S - S^T| entry is {asym:.3e} "
-            f"(tolerance {symmetry_tol:.1e})"
+            f"(tolerance {SYMMETRY_TOL:.1e})"
         )
     w, v = np.linalg.eigh(h + h.T)
     order = np.argsort(-w, kind="stable")
@@ -63,13 +63,11 @@ def sym_eigen(matrix, symmetry_tol: float = SYMMETRY_TOL) -> SymEigen:
     return SymEigen(w, v)
 
 
-def matrix_rank(matrix, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    if not 0 < tol < np.inf:
-        raise ValidationError(f"rank tolerance must be positive and finite, got {tol}")
+def matrix_rank(matrix) -> int:
+    """Number of singular values above ``RANK_TOL`` times the largest one."""
     m = _finite_array(matrix, (None, None), "matrix_rank matrix")
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
 def spectral_norm(matrix) -> float:

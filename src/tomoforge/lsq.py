@@ -61,10 +61,15 @@ class ReconstructionResult:
     prior_used: np.ndarray
 
 
+def _design_arrays(design: DesignSystem):
+    """The design matrix A and rhs B, checked."""
+    a = _finite_array(design.matrix, (None, N_PARAMS), "design matrix", float)
+    return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
+
+
 def normal_system(design: DesignSystem) -> NormalSystem:
     """Form C = A^T A and b = A^T B from a design system."""
-    a = _finite_array(design.matrix, (None, N_PARAMS), "design matrix", float)
-    b = _finite_array(design.rhs, (len(a),), "design rhs", float)
+    a, b = _design_arrays(design)
     return NormalSystem(a.T @ a, a.T @ b)
 
 
@@ -85,7 +90,8 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
 
 def chi2(design: DesignSystem, params) -> float:
     """Sum of squared residuals of the design equations at ``params``."""
-    r = design.matrix @ _finite_array(params, (N_PARAMS,), "parameters", float) - design.rhs
+    a, b = _design_arrays(design)
+    r = a @ _finite_array(params, (N_PARAMS,), "parameters", float) - b
     return float(r @ r)
 
 

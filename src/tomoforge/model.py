@@ -27,13 +27,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array, _tolerance
+from .errors import ValidationError, _finite_array
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
 N_PARAMS = 16
 PEAKS = ("left", "right")
 TRACE_LABEL = "trace"
+HERMITICITY_TOL = 1e-9  # largest |m - m^H| entry matrix_to_params accepts
+TRACE_TOL = 1e-9  # largest |trace - 1| is_trace_normalized accepts
 
 # x1..x10 are the upper triangle (diagonal included) in row-major order,
 # x11..x16 the imaginary parts of the strict upper triangle.
@@ -70,15 +72,15 @@ def rotation_matrix(label: str) -> np.ndarray:
 
 
 def _require_int_in_range(value, what: str = "read-out id", lo=1, hi=N_READOUTS) -> int:
-    """``value`` as an int if it equals an integer in lo..hi (a bound of None is
-    no bound); anything else (NaN, None, strings, arrays) raises ValidationError."""
+    """``value`` as an int if it equals an integer in lo..hi (``hi`` None is no
+    upper bound); anything else (NaN, None, strings, arrays) raises ValidationError."""
     try:
         k = int(value)
-        if k == value and (lo is None or lo <= k) and (hi is None or k <= hi):
+        if k == value and lo <= k and (hi is None or k <= hi):
             return k
     except (TypeError, ValueError, OverflowError):
         pass
-    span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    span = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
     raise ValidationError(f"{what} out of range: expected an integer{span}, got {value!r}")
 
 
@@ -137,16 +139,15 @@ def _hermiticity_defect(m: np.ndarray, tol: float) -> float:
     return worst
 
 
-def matrix_to_params(matrix, hermiticity_tol: float = 1e-9) -> np.ndarray:
+def matrix_to_params(matrix) -> np.ndarray:
     """Read the 16 real parameters off a Hermitian 4x4 matrix.
 
     Exact inverse of params_to_matrix (the upper triangle and the diagonal
-    are copied verbatim). Rejects non-Hermitian input, naming the worst
-    offending element pair.
+    are copied verbatim). Rejects input whose Hermiticity defect exceeds
+    ``HERMITICITY_TOL``, naming the worst offending element pair.
     """
-    _tolerance(hermiticity_tol, "hermiticity tolerance")
     m = _finite_array(matrix, (4, 4), "matrix", complex)
-    _hermiticity_defect(m, hermiticity_tol)
+    _hermiticity_defect(m, HERMITICITY_TOL)
     return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
 
 
@@ -159,10 +160,13 @@ def maximally_mixed_params() -> np.ndarray:
     return 0.25 * _TRACE_ROW
 
 
-def is_trace_normalized(params, tol: float = 1e-9) -> bool:
-    _tolerance(tol, "trace tolerance")
-    x = _finite_array(params, (N_PARAMS,), "parameters", float)
-    return abs(float(x[list(DIAGONAL_SLOTS)].sum()) - 1.0) <= tol
+def _trace(x: np.ndarray) -> float:
+    return float(x[list(DIAGONAL_SLOTS)].sum())
+
+
+def is_trace_normalized(params) -> bool:
+    """Whether the populations sum to 1 within ``TRACE_TOL``."""
+    return abs(_trace(_finite_array(params, (N_PARAMS,), "parameters", float)) - 1.0) <= TRACE_TOL
 
 
 def apply_rotation(rho, label: str) -> np.ndarray:
@@ -323,17 +327,21 @@ def assemble_design(
 def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: int = 0) -> list:
     """Simulate the peak readings an acquisition of ``readouts`` would give.
 
-    ``rho`` must be Hermitian with unit trace. Gaussian noise of standard
-    deviation ``noise_sigma`` is added independently to the real and
-    imaginary part of every peak; the draw order is fixed (ascending id,
-    left before right, real before imaginary), so a seed, an integer >= 0,
-    pins the output.
+    ``rho`` must be Hermitian and of unit trace, within ``HERMITICITY_TOL``
+    and ``TRACE_TOL``. Gaussian noise of standard deviation ``noise_sigma``
+    (finite, >= 0) is added independently to the real and imaginary part of
+    every peak; the draw order is fixed (ascending id, left before right,
+    real before imaginary), so a seed, an integer >= 0, pins the output.
     """
     x = matrix_to_params(rho)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValidationError(f"density matrix must have trace 1, got {tr.real:.6g}")
-    _tolerance(noise_sigma, "noise sigma")
+    if not is_trace_normalized(x):
+        raise ValidationError(f"density matrix must have trace 1, got {_trace(x)!r}")
+    try:
+        sigma_ok = 0 <= noise_sigma < np.inf
+    except (TypeError, ValueError):  # strings, None, arrays
+        sigma_ok = False
+    if not sigma_ok:
+        raise ValidationError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     seed = _require_int_in_range(seed, "seed", 0, None)
     ids = _validated_ids(readouts)
     values = _ROWS[np.array(ids) - 1] @ x

@@ -4,12 +4,13 @@ A set of read-outs determines all 16 parameters iff its design system
 (with the trace row) has rank 16. A set's normal matrix is a sum of fixed
 per-read-out blocks (``model._GRAM``), so sets are scored in batches: one
 ``eigvalsh`` call gives each set's spectrum. Rank is read off a spectrum by
-one cut, ``_rank``: the count of eigenvalues above ``RANK_TOL`` times the
-largest. ``cli analyze`` applies the same cut to the spectrum it prints, and
-the tests check it against the singular-value ``linalg.matrix_rank``. These
-helpers check single sets, find the smallest workable size, exhaustively
-enumerate all full-rank sets of a given size, and rank sets by how
-well-conditioned their normal matrix is.
+one cut, ``_rank``: the count of eigenvalues above ``linalg.RANK_TOL``
+times the largest. ``cli analyze`` applies the same cut to the spectrum it
+prints, and the tests check it against the singular-value
+``linalg.matrix_rank``, which uses the same constant. These helpers check
+single sets, find the smallest workable size, exhaustively enumerate all
+full-rank sets of a given size, and rank sets by how well-conditioned
+their normal matrix is.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import RANK_TOL
 from .model import N_PARAMS, N_READOUTS, _normal_matrices, _require_int_in_range, _validated_ids
 
-RANK_TOL = 1e-10
 # Subsets scored per eigvalsh call; larger batches raise peak memory.
 _BATCH = 256
 
@@ -76,18 +77,13 @@ def enumerate_minimal_sets(size: int) -> list:
     return out
 
 
-def rank_sets_by_conditioning(reports, top=None) -> list:
+def rank_sets_by_conditioning(reports) -> list:
     """Full-rank reports sorted by descending smallest eigenvalue.
 
     The key is the computed float, so sets whose smallest eigenvalues are
     mathematically equal are ordered by rounding noise in the last bits, not
     by ids. Only bit-equal eigenvalues fall back to lexicographic order on
     ids; the sort is stable, so duplicated reports keep their input order.
-    ``top``, None or an integer, limits the returned count.
+    Slice the result for the best few.
     """
-    n = None if top is None else _require_int_in_range(top, "top", None, None)
-    ordered = sorted(
-        (r for r in reports if r.full_rank),
-        key=lambda r: (-r.min_eigenvalue, r.ids),
-    )
-    return ordered if n is None else ordered[: max(n, 0)]
+    return sorted((r for r in reports if r.full_rank), key=lambda r: (-r.min_eigenvalue, r.ids))

@@ -1,6 +1,9 @@
 """The input rules every public function shares: one array rule
-(``errors._finite_array``), one tolerance rule (``errors._tolerance``) and one
-integer rule (``model._require_int_in_range``), each raising ValidationError."""
+(``errors._finite_array``) and one integer rule
+(``model._require_int_in_range``), each raising ValidationError. The one
+tolerance a caller sets, ``noise_sigma``, is checked by ``simulate_readings``
+(see ``test_model.test_simulate_validation``); every other cut is a module
+constant."""
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from tomoforge import (
     spectral_norm,
     sym_eigen,
 )
-from tomoforge.errors import _finite_array, _tolerance
+from tomoforge.errors import _finite_array
 
 RHO = np.eye(4) / 4
 PARAMS = maximally_mixed_params()
@@ -55,6 +58,8 @@ ARRAY_ARGUMENTS = {
     "normal_system rhs": (lambda a: normal_system(_with_rhs(a)), DESIGN.rhs),
     "error_matrix_analysis rhs": (lambda a: error_matrix_analysis(NormalSystem(NS.matrix, a)), NS.rhs),
     "chi2 params": (lambda a: chi2(DESIGN, a), PARAMS),
+    "chi2 matrix": (lambda a: chi2(_with_matrix(a), PARAMS), DESIGN.matrix),
+    "chi2 rhs": (lambda a: chi2(_with_rhs(a), PARAMS), DESIGN.rhs),
     "reconstruct prior": (lambda a: reconstruct(DESIGN, prior=a), PARAMS),
     "reconstruct rhs": (lambda a: reconstruct(_with_rhs(a)), DESIGN.rhs),
     "relative_error rho_exp": (lambda a: relative_error(a, RHO), RHO),
@@ -80,6 +85,7 @@ BAD_VALUES = {
     "extra axis": lambda good: np.asarray(good)[np.newaxis],
     "empty": lambda good: np.asarray(good)[:0],
     "non-numeric": lambda good: np.full(np.shape(good), "x").tolist(),
+    "numeric strings": lambda good: np.full(np.shape(good), "0.25").tolist(),
 }
 
 
@@ -90,6 +96,30 @@ def test_every_array_argument_rejects_bad_arrays(argument, bad):
     call(good)  # the valid value passes
     with pytest.raises(ValidationError):
         call(BAD_VALUES[bad](good))
+
+
+# The arguments converted to real numbers: complex input is rejected, not cut
+# to its real part.
+REAL_ARGUMENTS = (
+    "params_to_matrix",
+    "is_trace_normalized",
+    "normal_system matrix",
+    "normal_system rhs",
+    "error_matrix_analysis rhs",
+    "chi2 params",
+    "chi2 matrix",
+    "chi2 rhs",
+    "reconstruct prior",
+    "reconstruct rhs",
+    "sym_eigen",
+)
+
+
+@pytest.mark.parametrize("argument", REAL_ARGUMENTS)
+def test_real_arguments_reject_complex_input(argument):
+    call, good = ARRAY_ARGUMENTS[argument]
+    with pytest.raises(ValidationError, match="must be a numeric array, got ndarray of complex128$"):
+        call(np.asarray(good) * (1 + 1j))
 
 
 GAPS = {
@@ -111,9 +141,17 @@ def test_array_rule_messages():
         normal_system(_with_matrix(DESIGN.matrix[:, :3]))
     with pytest.raises(ValidationError, match="^prior has non-finite entries$"):
         reconstruct(DESIGN, prior=np.full(16, np.nan))
-    for value in (object(), [[1.0, 2.0], [3.0]], [1j] * 16, "x"):
+    for value in (object(), [[1.0, 2.0], [3.0]], [1j] * 16, "x", 1j * np.ones(16), ["0.25"] * 16, [b"1"] * 16):
         with pytest.raises(ValidationError, match="^parameters must be a numeric array, got "):
             _finite_array(value, (16,), "parameters", float)
+    with pytest.raises(ValidationError, match="^parameters must be a numeric array, got list of <U4$"):
+        params_to_matrix(["0.25"] * 16)
+    with pytest.raises(ValidationError, match="^sym_eigen matrix must be a numeric array, got ndarray of complex128$"):
+        sym_eigen(np.eye(2) * (1 + 1j))
+    # complex input where complex is expected, and no dtype asked for, pass
+    z = np.eye(2) * (1 + 1j)
+    assert _finite_array(z, (2, 2), "m", complex) is z
+    assert _finite_array(z, (2, 2), "m") is z
 
 
 def test_array_rule_keeps_the_dtype():
@@ -123,29 +161,6 @@ def test_array_rule_keeps_the_dtype():
     assert _finite_array([[1, 2]], (1, None), "m", complex).dtype == complex
     a = np.ones((3, 16))
     assert _finite_array(a, (None, 16), "m", float) is a  # no copy
-
-
-def test_tolerance_rule():
-    for good in (0, 1e-9, np.float64(0.5)):
-        _tolerance(good, "t")
-    for bad in (float("nan"), float("inf"), -1e-12, "0.1", None, np.array([0.1, 0.2])):
-        with pytest.raises(ValidationError, match="^t must be finite and >= 0, got "):
-            _tolerance(bad, "t")
-
-
-def test_nan_tolerances_no_longer_let_everything_through():
-    skew = RHO.astype(complex)
-    skew[0, 1] = 0.5
-    with pytest.raises(ValidationError, match="hermiticity tolerance"):
-        matrix_to_params(skew, hermiticity_tol=np.nan)
-    # a 1e-3 defect: within the error band, so only the warning tolerance
-    # decides, and a NaN one used to let it pass silently
-    text = format_density(RHO).replace("0.25+0.0i 0.0+0.0i", "0.25+0.0i 0.001+0.0i", 1)
-    for tols in ((np.nan, np.nan), (1e-6, np.nan), (np.nan, 1e-2), (-1.0, 1e-2), (1e-6, "x")):
-        with pytest.raises(ValidationError, match="tolerance"):
-            parse_density(text, *tols)
-    with pytest.raises(ValidationError, match="trace tolerance"):
-        is_trace_normalized(PARAMS, tol=np.nan)
 
 
 @pytest.mark.filterwarnings("error")

@@ -136,10 +136,6 @@ def test_density_hermiticity_error_above_band():
         parse_density(text)
     with pytest.raises(ValidationError, match=r"elements \(1,4\) and \(4,1\) differ by 5\.000e-02"):
         parse_density(text)
-    # configurable: widening the error band downgrades it to a warning
-    with pytest.warns(UserWarning):
-        parsed = parse_density(text, hermiticity_error_tol=0.1)
-    np.testing.assert_array_equal(parsed, goldens.RHO_SIX_READOUTS)
 
 
 def test_density_shape_and_literal_errors():

@@ -53,9 +53,6 @@ def test_sym_eigen_rejects_bad_input():
         sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValidationError, match="finite"):
         sym_eigen(np.diag([1.0, np.inf]))
-    for tol in (np.nan, np.inf, -1e-10):
-        with pytest.raises(ValidationError, match="tolerance"):
-            sym_eigen(skew, symmetry_tol=tol)
 
 
 def test_rank_identity_and_single_row():
@@ -65,7 +62,7 @@ def test_rank_identity_and_single_row():
 
 def test_rank_of_design_without_trace_row():
     a = assemble_design(range(1, 19), include_trace=False).matrix
-    assert matrix_rank(a, 1e-10) == 15
+    assert matrix_rank(a) == 15
 
 
 def test_rank_invariant_under_permutation_and_scaling(rng):
@@ -78,13 +75,8 @@ def test_rank_invariant_under_permutation_and_scaling(rng):
 
 
 def test_rank_validation():
-    with pytest.raises(ValidationError, match="positive"):
-        matrix_rank(np.eye(2), tol=0.0)
     with pytest.raises(ValidationError, match="non-empty"):
         matrix_rank(np.zeros((0, 4)))
-    for tol in (np.nan, np.inf, -1e-10):
-        with pytest.raises(ValidationError, match="positive"):
-            matrix_rank(np.eye(2), tol=tol)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="finite"):
             matrix_rank(np.array([[1.0, bad]]))

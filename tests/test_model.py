@@ -333,8 +333,11 @@ def test_simulate_validation():
         simulate_readings(np.eye(4) / 4, [1], noise_sigma=-0.1)
     with pytest.raises(ValidationError, match="trace"):
         simulate_readings(np.eye(4), [1])
-    for sigma in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="sigma"):
+    # the message shows the defect, however small
+    with pytest.raises(ValidationError, match=r"^density matrix must have trace 1, got 1\.0000000015"):
+        simulate_readings(np.diag([0.25, 0.25, 0.25, 0.25 + 1.5e-9]), [1])
+    for sigma in (float("nan"), float("inf"), "0.1", None, np.array([0.1, 0.2])):
+        with pytest.raises(ValidationError, match="^noise sigma must be finite and >= 0, got "):
             simulate_readings(np.eye(4) / 4, [1], noise_sigma=sigma)
     rho = np.eye(4) / 4
     rho[0, 1] = rho[1, 0] = np.nan

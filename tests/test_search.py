@@ -14,7 +14,7 @@ from tomoforge import (
     set_report,
 )
 from tomoforge.model import _normal_matrices
-from tomoforge.search import RANK_TOL, _rank, _spectra
+from tomoforge.search import _rank, _spectra
 
 import goldens
 
@@ -114,8 +114,6 @@ def test_rank_sets_by_conditioning():
     eigs = [r.min_eigenvalue for r in ordered]
     assert eigs == sorted(eigs, reverse=True)
     assert rank_sets_by_conditioning([reports[0]]) == [reports[0]]
-    top3 = rank_sets_by_conditioning(reports, top=3)
-    assert len(top3) == 3 and top3 == ordered[:3]
     # stable on duplicates
     dup = [reports[0], reports[0]]
     assert rank_sets_by_conditioning(dup) == dup
@@ -125,15 +123,6 @@ def test_rank_sets_by_conditioning():
     assert all(full.min_eigenvalue > r.min_eigenvalue for r in reports)
     # non-full-rank reports are dropped
     assert rank_sets_by_conditioning([set_report([1, 2, 3, 4])]) == []
-    # top: None or anything equal to an integer; a negative one keeps nothing
-    assert rank_sets_by_conditioning(reports, top=-1) == []
-    assert rank_sets_by_conditioning(reports, top=0) == []
-    for top in (3.0, np.int64(3)):
-        assert rank_sets_by_conditioning(reports, top=top) == ordered[:3]
-    assert rank_sets_by_conditioning(reports, top=True) == ordered[:1]
-    for bad in (float("nan"), float("inf"), float("-inf"), "x", "3", 2.5, np.array([3]), 5 + 0j):
-        with pytest.raises(ValidationError, match="top"):
-            rank_sets_by_conditioning(reports, top=bad)
 
 
 def _all_spectra():
@@ -148,7 +137,7 @@ def test_rank_rests_on_a_wide_eigenvalue_gap():
     # Every eigenvalue of every set's normal matrix is either null
     # (|lambda| <= 1e-12, measured 2.8e-15) or at least 0.5 (measured
     # 0.49999999999999734), and lambda_max <= 6. The rank cut
-    # RANK_TOL * lambda_max <= 6e-10 therefore sits deep inside the gap.
+    # linalg.RANK_TOL * lambda_max <= 6e-10 therefore sits deep inside the gap.
     floor = 0.5 * (1 - 1e-12)
     n_sets = 0
     for batch, eig, rank in _all_spectra():
@@ -162,7 +151,7 @@ def test_rank_rests_on_a_wide_eigenvalue_gap():
 
 def test_batched_rank_matches_svd_rank(rng):
     def svd_rank(ids):
-        return matrix_rank(assemble_design(ids).matrix, RANK_TOL)
+        return matrix_rank(assemble_design(ids).matrix)
 
     for k in (4, 5):
         sets = list(itertools.combinations(range(1, 19), k))
