@@ -11,12 +11,19 @@ one at a physically motivated prior instead of letting noise pick it.
 Every array a function here is given (the design matrix and rhs, the
 normal rhs, parameters, priors, density matrices) is converted and checked
 once by ``errors._finite_array``, so a NaN or a wrong shape is a
-ValidationError, never a NaN result.
+ValidationError, never a NaN result; every threshold by ``_threshold``.
+
+The decomposition of C depends on the design alone, never on the readings,
+so ``reconstruct`` takes it from ``_basis``, a bounded memo of the last few
+designs keyed by the bytes of A, with no setting. A repeated design is
+decomposed once, and the results are bit-identical to a fresh solve.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +74,31 @@ def _design_arrays(design: DesignSystem):
     return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
 
 
+def _threshold(value) -> float:
+    """The truncation threshold as a float; ValidationError unless it is a real
+    number (not a string, complex number or array) with 0 < value < inf."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"threshold must be a real number, got {value!r}")
+    try:
+        t = float(value)
+    except OverflowError:  # an integer beyond the float range
+        t = np.inf
+    if not 0 < t < np.inf:
+        raise ValidationError(f"threshold must be positive and finite, got {value}")
+    return t
+
+
+@lru_cache(maxsize=8)
+def _basis(a_bytes: bytes, rows: int):
+    """Descending eigenvalues of A^T A and its combinations (one per row),
+    both read-only, for the float64 design matrix A stored in ``a_bytes``."""
+    a = np.frombuffer(a_bytes).reshape(rows, N_PARAMS)
+    w, v = sym_eigen(a.T @ a)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v.T
+
+
 def normal_system(design: DesignSystem) -> NormalSystem:
     """Form C = A^T A and b = A^T B from a design system."""
     a, b = _design_arrays(design)
@@ -75,8 +107,7 @@ def normal_system(design: DesignSystem) -> NormalSystem:
 
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
     """Diagonalize the normal matrix and flag ill-determined combinations."""
-    if not 0 < threshold < np.inf:
-        raise ValidationError(f"threshold must be positive and finite, got {threshold}")
+    threshold = _threshold(threshold)
     dec = sym_eigen(ns.matrix)
     combos = dec.vectors.T
     return ErrorMatrixReport(
@@ -84,7 +115,7 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
         combinations=combos,
         projected_rhs=combos @ _finite_array(ns.rhs, (len(combos),), "normal rhs", float),
         ill_determined=dec.eigenvalues < threshold,
-        threshold=float(threshold),
+        threshold=threshold,
     )
 
 
@@ -104,22 +135,21 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     at all clears the threshold.
     """
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float)
-    report = error_matrix_analysis(normal_system(design), threshold)
-    kept = ~report.ill_determined
+    a, b = _design_arrays(design)
+    threshold = _threshold(threshold)
+    eigenvalues, combos = _basis(a.tobytes(), len(a))
+    kept = eigenvalues >= threshold
     if not kept.any():
         raise NumericalError(
             f"no parameter combination is determined at threshold {threshold:g}; "
             "the design system carries no usable information"
         )
-    solved = np.divide(report.projected_rhs, report.eigenvalues, out=np.zeros(16), where=kept)
-    held = report.combinations @ prior
-    y = np.where(kept, solved, held)
-    x = report.combinations.T @ y
-    truncated = tuple(
-        (float(report.eigenvalues[k]), report.combinations[k].copy())
-        for k in np.flatnonzero(report.ill_determined)
-    )
-    return ReconstructionResult(x, chi2(design, x), truncated, prior)
+    solved = np.divide(combos @ (a.T @ b), eigenvalues, out=np.zeros(16), where=kept)
+    y = np.where(kept, solved, combos @ prior)
+    x = combos.T @ y
+    truncated = tuple((float(eigenvalues[k]), combos[k].copy()) for k in np.flatnonzero(~kept))
+    r = a @ x - b
+    return ReconstructionResult(x, float(r @ r), truncated, prior)
 
 
 def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:

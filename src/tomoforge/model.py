@@ -293,8 +293,11 @@ def assemble_design(
     Without readings the right-hand side of every measurement row is zero
     (design-only mode); the trace row always carries rhs 1. With readings,
     they must cover exactly the requested read-outs, one value per peak.
+    ``include_trace`` must be a bool (``True``, ``False`` or a numpy bool).
     """
     ids = _validated_ids(readouts)
+    if not isinstance(include_trace, (bool, np.bool_)):
+        raise ValidationError(f"include_trace must be True or False, got {include_trace!r}")
 
     values = None
     if readings is not None:

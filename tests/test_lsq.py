@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tomoforge import (
+    DEFAULT_THRESHOLD,
     PEAKS,
+    DesignSystem,
     NumericalError,
     Reading,
     ValidationError,
@@ -11,6 +13,7 @@ from tomoforge import (
     chi2,
     error_matrix_analysis,
     matrix_rank,
+    matrix_to_params,
     maximally_mixed_params,
     normal_system,
     params_to_matrix,
@@ -19,6 +22,7 @@ from tomoforge import (
     relative_error,
     simulate_readings,
 )
+from tomoforge.lsq import _basis
 from conftest import random_trace_one_hermitian
 
 import goldens
@@ -269,3 +273,114 @@ def test_reading_order_leaves_reconstruction_bit_identical(ids, parts, data):
     a, b = _solve(ids, readings), _solve(ids, shuffled)
     assert a.params.tobytes() == b.params.tobytes()
     assert np.float64(a.chi2).tobytes() == np.float64(b.chi2).tobytes()
+
+
+def test_threshold_must_be_a_real_number():
+    ns = normal_system(assemble_design(range(1, 19)))
+    d = assemble_design(range(1, 19), readings=simulate_readings(np.eye(4) / 4, range(1, 19)))
+    for bad in ("0.1", None, np.array([0.1, 0.2]), 1j):
+        for call in (lambda: error_matrix_analysis(ns, threshold=bad), lambda: reconstruct(d, threshold=bad)):
+            with pytest.raises(ValidationError, match="threshold must be a real number"):
+                call()
+    for bad in (0, -1.0, float("nan"), float("inf"), float("-inf"), 10**400):
+        for call in (lambda: error_matrix_analysis(ns, threshold=bad), lambda: reconstruct(d, threshold=bad)):
+            with pytest.raises(ValidationError, match=f"threshold must be positive and finite, got {bad}"):
+                call()
+
+
+# The basis memo under ``reconstruct``: results must be bit-identical to a
+# fresh solve through the public normal_system and error_matrix_analysis.
+
+
+def _reference_solve(design, threshold=DEFAULT_THRESHOLD, prior=None):
+    """The solve ``reconstruct`` makes, step by step from the public pieces."""
+    prior = maximally_mixed_params() if prior is None else prior
+    report = error_matrix_analysis(normal_system(design), threshold)
+    kept = ~report.ill_determined
+    solved = np.divide(report.projected_rhs, report.eigenvalues, out=np.zeros(16), where=kept)
+    y = np.where(kept, solved, report.combinations @ prior)
+    x = report.combinations.T @ y
+    truncated = [(report.eigenvalues[k], report.combinations[k]) for k in np.flatnonzero(report.ill_determined)]
+    return x, chi2(design, x), truncated
+
+
+def _assert_same_bytes(result, reference):
+    x, c2, truncated = reference
+    assert result.params.tobytes() == x.tobytes()
+    assert np.float64(result.chi2).tobytes() == np.float64(c2).tobytes()
+    assert len(result.truncated_directions) == len(truncated)
+    for (lam, combo), (ref_lam, ref_combo) in zip(result.truncated_directions, truncated):
+        assert np.float64(lam).tobytes() == np.float64(ref_lam).tobytes()
+        assert combo.tobytes() == ref_combo.tobytes()
+
+
+def test_cached_basis_is_bit_identical_to_a_fresh_solve():
+    rng = np.random.default_rng(9)
+    sets = [list(s) for s in goldens.MINIMAL_SETS_5] + [list(range(1, 19)), [1, 2, 3, 4]]
+    for _ in range(200):
+        sets.append(sorted(rng.choice(np.arange(1, 19), size=int(rng.integers(4, 19)), replace=False).tolist()))
+    priors = (None, matrix_to_params(random_trace_one_hermitian(rng)))
+    n_truncated = 0
+    for i, ids in enumerate(sets):
+        rho = random_trace_one_hermitian(rng)
+        d = assemble_design(ids, readings=simulate_readings(rho, ids, noise_sigma=0.01, seed=i))
+        w = error_matrix_analysis(normal_system(d)).eigenvalues
+        for threshold in (1e-3, 0.3, w[w >= 1e-3][-1]):  # the last: a combination exactly at the cut
+            for prior in priors:
+                result = reconstruct(d, threshold=threshold, prior=prior)
+                _assert_same_bytes(result, _reference_solve(d, threshold, prior))
+                n_truncated += bool(result.truncated_directions)
+    assert n_truncated > 0  # [1, 2, 3, 4] and the small random sets truncate
+
+
+def test_cold_and_warm_basis_give_the_same_bytes():
+    d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
+    _basis.cache_clear()
+    cold = reconstruct(d)
+    warm = reconstruct(d)
+    assert _basis.cache_info().hits == 1 and _basis.cache_info().misses == 1
+    _assert_same_bytes(warm, (cold.params, cold.chi2, cold.truncated_directions))
+
+
+def test_callers_cannot_reach_the_cached_basis():
+    d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
+    first = reconstruct(d)
+    expected = (first.params.copy(), first.chi2, [(lam, c.copy()) for lam, c in first.truncated_directions])
+    first.params[:] = 7.0
+    first.truncated_directions[0][1][:] = 7.0
+    first.prior_used[:] = 7.0
+    _assert_same_bytes(reconstruct(d), expected)
+    a = d.matrix
+    for cached in _basis(a.tobytes(), len(a)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+
+
+def test_basis_key_is_the_matrix_not_the_labels():
+    ids = goldens.SIX_READOUT_IDS
+    d = assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids, noise_sigma=0.01, seed=1))
+    reconstruct(d)
+    bumped = d.matrix.copy()
+    row, col = np.argwhere(bumped != 0)[0]
+    bumped[row, col] = np.nextafter(bumped[row, col], np.inf)
+    near = DesignSystem(bumped, d.rhs, d.row_labels)
+    misses = _basis.cache_info().misses
+    _assert_same_bytes(reconstruct(near), _reference_solve(near))
+    assert _basis.cache_info().misses == misses + 1
+
+
+def test_hopeless_threshold_raises_on_every_call():
+    d = assemble_design([1, 2], readings=simulate_readings(np.eye(4) / 4, [1, 2]))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="threshold"):
+            reconstruct(d, threshold=1e9)
+
+
+def test_basis_memo_stays_bounded():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        ids = sorted(rng.choice(np.arange(1, 19), size=6, replace=False).tolist())
+        reconstruct(assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids)))
+    info = _basis.cache_info()
+    assert info.currsize <= info.maxsize

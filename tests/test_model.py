@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,14 @@ def test_assemble_validation():
         bad_readings = [readings[0], Reading(2, "left", bad)] + readings[2:]
         with pytest.raises(ValidationError, match="not a number"):
             assemble_design([1, 2], readings=bad_readings)
+
+
+def test_include_trace_is_a_bool():
+    for bad in ("no", None, 0, 1.0, np.array([True])):
+        with pytest.raises(ValidationError, match=re.escape(f"include_trace must be True or False, got {bad!r}")):
+            assemble_design([1, 2], include_trace=bad)
+    assert assemble_design([1, 2], include_trace=np.True_).rows == 9
+    assert assemble_design([1, 2], include_trace=np.False_).rows == 8
 
 
 BAD_IDS = (float("nan"), float("inf"), float("-inf"), None, "a", "3", 5.5, 0, 19, np.array([3]), 5 + 0j)
