@@ -202,14 +202,32 @@ _ROWS, _ROW_LABELS = _build_rows()
 _GRAM = np.einsum("rki,rkj->rij", _ROWS, _ROWS)
 _TRACE_GRAM = np.outer(_TRACE_ROW, _TRACE_ROW)
 
+# Every read-out's Gram block and the trace block are zero outside seven
+# diagonal blocks, so A^T A of any read-out set is block-diagonal: the 4x4
+# population block (x1, x5, x8, x10), and six 2x2 coherence pairs (p, q), the
+# real then the imaginary parts of rho12-rho34, rho13-rho24 and rho14-rho23.
+# Each read-out's pair block is [[a, b], [b, a]], with eigenvalues a + b and
+# a - b along x_p + x_q and x_p - x_q, so a set's pair eigenvalues are sums.
+PAIR_SLOTS = ((1, 8), (2, 6), (3, 5), (10, 15), (11, 14), (12, 13))
+_POPULATIONS = np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)
+_P, _Q = np.array(PAIR_SLOTS).T
+# Row r-1 holds read-out r's share of each block: its flattened population
+# block, then a + b for the six pairs, then a - b.
+_POPULATION_TABLE = _GRAM[:, _POPULATIONS[0], _POPULATIONS[1]].reshape(N_READOUTS, 16)
+_TRACE_POPULATIONS = _TRACE_GRAM[_POPULATIONS].ravel()
+_PAIR_TABLE = np.concatenate([_GRAM[:, _P, _P] + sign * _GRAM[:, _P, _Q] for sign in (1, -1)], axis=1)
 
-def _normal_matrices(ids) -> np.ndarray:
-    """A^T A (trace row included) for each row of an (n, k) array of read-out ids."""
-    columns = (np.asarray(ids) - 1).T
-    out = _TRACE_GRAM + _GRAM[columns[0]]
-    for column in columns[1:]:
-        out += _GRAM[column]  # in place: one (n, 16, 16) array at a time
-    return out
+
+def _normal_blocks(ids):
+    """A^T A (trace row included) of each row of an (n, k) array of read-out
+    ids, by block: the (n, 4, 4) population blocks and the (n, 12) eigenvalues
+    of the pairs. Table entries are multiples of 1/16 of size at most 2, so
+    the sums are exact."""
+    ids = np.array(ids, dtype=np.intp)
+    chosen = np.zeros((len(ids), N_READOUTS))
+    np.put_along_axis(chosen, ids - 1, 1.0, axis=1)
+    populations = (chosen @ _POPULATION_TABLE + _TRACE_POPULATIONS).reshape(-1, 4, 4)
+    return populations, chosen @ _PAIR_TABLE
 
 
 def readout_rows(readout: int):

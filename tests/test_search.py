@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from tomoforge import (
     rank_sets_by_conditioning,
     set_report,
 )
-from tomoforge.model import _normal_matrices
-from tomoforge.search import _rank, _spectra
+from tomoforge import search
+from tomoforge.model import DIAGONAL_SLOTS, PAIR_SLOTS, _GRAM, _TRACE_GRAM, _normal_blocks
+from tomoforge.search import _BATCH, _rank, _spectra
 
 import goldens
 
@@ -51,6 +53,18 @@ def test_set_report_rejects_bad_ids():
 
 def test_minimum_readout_count_is_five():
     assert minimum_readout_count() == 5
+
+
+def test_minimum_readout_count_stops_at_first_full_rank_batch(monkeypatch):
+    # every set of sizes 1..4, then the size-5 batches up to and including
+    # the one holding the lexicographically first full-rank five-set
+    calls = []
+    monkeypatch.setattr(search, "_spectra", lambda sets: calls.append(len(sets)) or _spectra(sets))
+    assert minimum_readout_count() == 5
+    first = list(itertools.combinations(range(1, 19), 5)).index(goldens.MINIMAL_SETS_5[0])
+    smaller = [math.ceil(math.comb(18, k) / _BATCH) for k in range(1, 5)]
+    assert len(calls) == sum(smaller) + first // _BATCH + 1
+    assert sum(calls) == sum(math.comb(18, k) for k in range(1, 5)) + (first // _BATCH + 1) * _BATCH
 
 
 def test_enumerate_size_four_is_empty():
@@ -163,11 +177,33 @@ def test_batched_rank_matches_svd_rank(rng):
         assert set_report(ids).rank == svd_rank(ids), sorted(ids)
 
 
+def test_normal_matrix_is_block_diagonal():
+    # the seven blocks partition the 16 slots, every read-out's Gram block and
+    # the trace block vanish outside them, and each pair block has equal
+    # diagonal entries, so its eigenvalues are C_pp + C_pq and C_pp - C_pq
+    assert sorted(itertools.chain(DIAGONAL_SLOTS, *PAIR_SLOTS)) == list(range(16))
+    outside = np.ones((16, 16), dtype=bool)
+    for block in (DIAGONAL_SLOTS, *PAIR_SLOTS):
+        outside[np.ix_(block, block)] = False
+    p, q = np.array(PAIR_SLOTS).T
+    for r in range(18):
+        assert np.all(_GRAM[r][outside] == 0), r + 1
+        np.testing.assert_array_equal(_GRAM[r, p, p], _GRAM[r, q, q])
+    assert np.all(_TRACE_GRAM[outside] == 0)
+
+
 def test_table_normal_matrix_matches_design():
+    # the table sums are exact, so the blocks rebuild A^T A of the assembled
+    # design bit for bit
+    p, q = np.array(PAIR_SLOTS).T
     for sets in (goldens.MINIMAL_SETS_5, [tuple(range(1, 19))]):
-        for ids, gram in zip(sets, _normal_matrices(sets)):
-            expected = normal_system(assemble_design(ids)).matrix
-            np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-13)
+        for ids, populations, pairs in zip(sets, *_normal_blocks(sets)):
+            plus, minus = np.split(pairs, 2)
+            rebuilt = np.zeros((16, 16))
+            rebuilt[np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)] = populations
+            rebuilt[p, p] = rebuilt[q, q] = (plus + minus) / 2
+            rebuilt[p, q] = rebuilt[q, p] = (plus - minus) / 2
+            np.testing.assert_array_equal(rebuilt, normal_system(assemble_design(ids)).matrix)
 
 
 def _margin_batches(rng):
@@ -199,3 +235,30 @@ def test_rank_margin_without_trace_row(rng):
         assert _rank(without).tolist() == [matrix_rank(d.matrix) for d in designs]
         n_sets += len(sets)
     assert n_sets == 3060 + 8568 + 2000
+
+
+def test_block_spectra_match_full_eigensolve(rng):
+    for sets in (*_margin_batches(rng), [tuple(range(1, 19))]):
+        eig, _ = _spectra(sets)
+        full = np.linalg.eigvalsh([normal_system(assemble_design(ids)).matrix for ids in sets])
+        np.testing.assert_allclose(eig, full[:, ::-1], rtol=0, atol=1e-12)
+
+
+def test_equal_population_blocks_give_bit_equal_spectra():
+    # a block's eigenvalues do not depend on where it falls in a batch, so
+    # ties between sets with equal population blocks are bit-equal
+    sets = list(itertools.combinations(range(1, 19), 5))
+    populations, _ = _normal_blocks(sets)
+    seen = {}
+    for block, e in zip(populations, np.linalg.eigvalsh(populations)):
+        np.testing.assert_array_equal(e, seen.setdefault(block.tobytes(), e))
+    assert len(seen) < len(sets)
+    eig, _ = _spectra(sets)
+    for ids, e in zip(sets[::97], eig[::97]):
+        np.testing.assert_array_equal(set_report(ids).eigenvalues, e)
+
+
+def test_full_rank_set_count_over_all_sizes():
+    counts = [len(enumerate_minimal_sets(k)) for k in range(1, 19)]
+    assert counts[:7] == [0, 0, 0, 0, 72, 1182, 6714]
+    assert sum(counts) == 150_436
