@@ -36,7 +36,7 @@ from .model import (
     params_to_matrix,
     simulate_readings,
 )
-from .search import _rank, enumerate_minimal_sets, rank_sets_by_conditioning
+from .search import _spectra, enumerate_minimal_sets, rank_sets_by_conditioning
 
 _ENV_THRESHOLD = "TOMOFORGE_THRESHOLD"
 # Coefficients smaller than this are left out of printed combinations.
@@ -84,7 +84,7 @@ def _cmd_analyze(args) -> int:
     design = assemble_design(ids, include_trace=not args.no_trace)
     ns = normal_system(design)
     report = error_matrix_analysis(ns, threshold)
-    rank = _rank(report.eigenvalues)
+    rank = int(_spectra([ids], include_trace=not args.no_trace)[1][0])
     statuses = ["ill" if bad else "well" for bad in report.ill_determined]
 
     if args.format == "csv":

@@ -2,9 +2,9 @@
 fixed ordering/sign convention, singular-value rank, and the spectral norm.
 
 ``SYMMETRY_TOL`` is the largest |S - S^T| entry ``sym_eigen`` accepts. A
-singular value, or in ``search._rank`` a normal-matrix eigenvalue, counts
-toward rank above ``RANK_TOL`` times the largest; ``matrix_rank`` is the
-reference kernel that spectral cut is tested against.
+singular value counts toward ``matrix_rank`` above ``RANK_TOL`` times the
+largest. The search reads ranks off exact table sums instead, and
+``matrix_rank`` is the reference kernel they are tested against.
 
 Everything here is a pure function of its inputs. The matrices this package
 cares about are at most 73x16, so clarity and reproducibility win over speed.

@@ -198,36 +198,30 @@ def _build_rows():
 
 
 _ROWS, _ROW_LABELS = _build_rows()
-# Each read-out's block A_r^T A_r of the normal matrix, and the trace row's.
-_GRAM = np.einsum("rki,rkj->rij", _ROWS, _ROWS)
-_TRACE_GRAM = np.outer(_TRACE_ROW, _TRACE_ROW)
 
-# Every read-out's Gram block and the trace block are zero outside seven
-# diagonal blocks, so A^T A of any read-out set is block-diagonal: the 4x4
-# population block (x1, x5, x8, x10), and six 2x2 coherence pairs (p, q), the
-# real then the imaginary parts of rho12-rho34, rho13-rho24 and rho14-rho23.
-# Each read-out's pair block is [[a, b], [b, a]], with eigenvalues a + b and
-# a - b along x_p + x_q and x_p - x_q, so a set's pair eigenvalues are sums.
-PAIR_SLOTS = ((1, 8), (2, 6), (3, 5), (10, 15), (11, 14), (12, 13))
-_POPULATIONS = np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)
-_P, _Q = np.array(PAIR_SLOTS).T
-# Row r-1 holds read-out r's share of each block: its flattened population
-# block, then a + b for the six pairs, then a - b.
-_POPULATION_TABLE = _GRAM[:, _POPULATIONS[0], _POPULATIONS[1]].reshape(N_READOUTS, 16)
-_TRACE_POPULATIONS = _TRACE_GRAM[_POPULATIONS].ravel()
-_PAIR_TABLE = np.concatenate([_GRAM[:, _P, _P] + sign * _GRAM[:, _P, _Q] for sign in (1, -1)], axis=1)
-
-
-def _normal_blocks(ids):
-    """A^T A (trace row included) of each row of an (n, k) array of read-out
-    ids, by block: the (n, 4, 4) population blocks and the (n, 12) eigenvalues
-    of the pairs. Table entries are multiples of 1/16 of size at most 2, so
-    the sums are exact."""
-    ids = np.array(ids, dtype=np.intp)
-    chosen = np.zeros((len(ids), N_READOUTS))
-    np.put_along_axis(chosen, ids - 1, 1.0, axis=1)
-    populations = (chosen @ _POPULATION_TABLE + _TRACE_POPULATIONS).reshape(-1, 4, 4)
-    return populations, chosen @ _PAIR_TABLE
+# The 16 two-spin product operators sigma_a (x) sigma_b, the first letter the
+# H spin: populations, then H-spin, P-spin and two-spin coherences.
+PAULI_LABELS = tuple("II ZI IZ ZZ XI YI XZ YZ IX IY ZX ZY XX XY YX YY".split())
+_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+# Column P of the orthonormal U holds the coefficients of the functional
+# x -> Tr(sigma_P rho(x)) over the _BASIS matrices, divided by their length
+# (2 for II, ZI, IZ and ZZ, 2 sqrt(2) for the rest).
+_FUNCTIONALS = np.array(
+    [np.einsum("ij,mji->m", np.kron(_PAULI[a], _PAULI[b]), _BASIS).real for a, b in PAULI_LABELS]
+).T
+_PAULI_BASIS = _FUNCTIONALS / np.linalg.norm(_FUNCTIONALS, axis=0)
+# A 90-degree pulse maps each product operator onto another, so a read-out
+# observes four of them and U diagonalises its Gram block A_r^T A_r, and the
+# trace row's. Row r-1 of _PAULI_WEIGHTS is the diagonal of U^T A_r^T A_r U,
+# the squared column lengths of A_r U rounded to halves as _build_rows rounds
+# the rows: four entries of 1/2 or 1. _TRACE_WEIGHTS is 4 on II. A set's
+# normal matrix is U diag(w) U^T, w the sum of its rows and the trace weights,
+# so every eigenvalue is an exact sum of halves.
+_PAULI_WEIGHTS, _TRACE_WEIGHTS = (
+    np.round(2 * ((rows @ _PAULI_BASIS) ** 2).sum(axis=-2)) / 2 for rows in (_ROWS, _TRACE_ROW[None])
+)
+for _table in (_PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS):
+    _table.setflags(write=False)
 
 
 def readout_rows(readout: int):

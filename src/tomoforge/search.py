@@ -1,18 +1,17 @@
 """Combinatorial search over read-out sets.
 
 A set of read-outs determines all 16 parameters iff its design system
-(with the trace row) has rank 16. A set's normal matrix is a sum of fixed
-per-read-out blocks and is block-diagonal (see ``model.PAIR_SLOTS``): a 4x4
-population block and six 2x2 coherence pairs whose eigenvalues are exact
-sums of table entries. Sets are scored in batches: one ``eigvalsh`` call
-covers the population blocks, and the pairs' eigenvalues come from one
-matrix product. Rank is read off a spectrum by one cut, ``_rank``: the
-count of eigenvalues above ``linalg.RANK_TOL`` times the largest. ``cli
-analyze`` applies the same cut to the spectrum it prints, and the tests
-check it against the singular-value ``linalg.matrix_rank``, which uses the
-same constant. These helpers check single sets, find the smallest workable
-size, exhaustively enumerate all full-rank sets of a given size, and rank
-sets by how well-conditioned their normal matrix is.
+(with the trace row) has rank 16. One fixed orthonormal basis, the 16
+two-spin product operators (``model.PAULI_LABELS``), diagonalises every
+read-out's share of the normal matrix and the trace row's, so a set's
+spectrum is a sum of rows of the 18x16 table ``model._PAULI_WEIGHTS`` plus
+the trace weights. Every entry is an exact sum of halves: no eigensolve is
+run, and the rank is the count of nonzero eigenvalues. Sets are scored in
+batches, one matrix product each. ``cli analyze`` reads its rank off the
+same table, and the tests check it against the singular-value
+``linalg.matrix_rank``. These helpers check single sets, find the smallest
+workable size, exhaustively enumerate all full-rank sets of a given size,
+and rank sets by how well-conditioned their normal matrix is.
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL
-from .model import N_PARAMS, N_READOUTS, _normal_blocks, _require_int_in_range, _validated_ids
+from .model import N_PARAMS, N_READOUTS, _PAULI_WEIGHTS, _TRACE_WEIGHTS, _require_int_in_range, _validated_ids
 
-# Subsets scored per eigvalsh call; larger batches raise peak memory. A set's
-# spectrum does not depend on its batch: equal population blocks give
-# bit-equal eigenvalues wherever they fall.
+# Subsets scored per matrix product; larger batches raise peak memory and
+# measured no faster. The sums are exact, so a set's spectrum does not
+# depend on its batch.
 _BATCH = 256
-
-
-def _rank(eig):
-    return np.count_nonzero(eig > RANK_TOL * eig.max(axis=-1, keepdims=True), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -46,14 +40,21 @@ class SetReport:
     eigenvalues: np.ndarray
 
 
-def _spectra(sets):
+def _spectra(sets, include_trace=True):
     """Descending normal-matrix spectra of equal-size id sets, and their ranks:
-    one eigvalsh call for the population blocks, and the pairs' exact sums."""
-    populations, pairs = _normal_blocks(sets)
-    eig = np.concatenate([np.linalg.eigvalsh(populations), pairs], axis=1)
+    each spectrum is the sum of the sets' rows of the weight table, plus the
+    trace weights unless ``include_trace`` is False. Entries are sums of
+    halves, so they are exact and the rank is the count of nonzero ones."""
+    k = len(sets[0])
+    ids = np.fromiter(itertools.chain.from_iterable(sets), np.intp, len(sets) * k).reshape(-1, k)
+    chosen = np.zeros((len(ids), N_READOUTS))
+    np.put_along_axis(chosen, ids - 1, 1.0, axis=1)
+    eig = chosen @ _PAULI_WEIGHTS
+    if include_trace:
+        eig += _TRACE_WEIGHTS
     eig.sort(axis=1)
     eig = eig[:, ::-1]
-    return eig, _rank(eig)
+    return eig, np.count_nonzero(eig, axis=1)
 
 
 def set_report(readouts) -> SetReport:
@@ -95,12 +96,10 @@ def enumerate_minimal_sets(size: int) -> list:
 def rank_sets_by_conditioning(reports) -> list:
     """Full-rank reports sorted by descending smallest eigenvalue.
 
-    The key is the computed float. Two sets' smallest eigenvalues are
-    bit-equal when both come from the coherence pairs (exact sums) or from
-    equal population blocks, and such ties fall back to lexicographic order
-    on ids. Other mathematically equal smallest eigenvalues, most of them
-    from population blocks that differ, are ordered by rounding noise in the
-    last bits, not by ids. The sort is stable, so duplicated reports keep
-    their input order. Slice the result for the best few.
+    Every eigenvalue is an exact sum of halves, so mathematically equal
+    smallest eigenvalues are bit-equal (a full-rank set's is 1/2 or 1) and
+    ties fall back to lexicographic order on ids: the order does not depend
+    on the order of the input. The sort is stable, so duplicated reports
+    keep their input order. Slice the result for the best few.
     """
     return sorted((r for r in reports if r.full_rank), key=lambda r: (-r.min_eigenvalue, r.ids))

@@ -68,6 +68,7 @@ def test_analyze_text_output(capsys):
 def test_analyze_no_trace_rank(capsys):
     code, out, _ = run(capsys, "analyze", "--readouts", "all", "--no-trace")
     assert code == 0
+    assert "design: 72 rows x 16 columns (trace row: no)" in out
     assert "rank: 15 of 16" in out
 
 

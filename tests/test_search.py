@@ -15,10 +15,28 @@ from tomoforge import (
     set_report,
 )
 from tomoforge import search
-from tomoforge.model import DIAGONAL_SLOTS, PAIR_SLOTS, _GRAM, _TRACE_GRAM, _normal_blocks
-from tomoforge.search import _BATCH, _rank, _spectra
+from tomoforge.model import (
+    PAULI_LABELS,
+    _PAULI_BASIS,
+    _PAULI_WEIGHTS,
+    _ROWS,
+    _TRACE_ROW,
+    _TRACE_WEIGHTS,
+    matrix_to_params,
+)
+from tomoforge.search import _BATCH, _spectra
 
 import goldens
+from conftest import random_hermitian
+
+# The Gram block A_r^T A_r of each read-out, then the trace row's.
+GRAMS = [*(rows.T @ rows for rows in _ROWS), np.outer(_TRACE_ROW, _TRACE_ROW)]
+# |Tr(sigma_P rho(x))| is NORMS[P] times |U[:, P] . x|: 2 on the four diagonal
+# operators, 2 sqrt(2) on the twelve coherences.
+SQUARED_NORMS = np.array([4.0 if set(label) <= set("IZ") else 8.0 for label in PAULI_LABELS])
+NORMS = np.sqrt(SQUARED_NORMS)
+# U scaled to integer entries (0, +-1, +-2): products with it are exact.
+INTEGER_BASIS = np.round(_PAULI_BASIS * NORMS)
 
 
 def test_set_report_first_golden_entry():
@@ -148,19 +166,21 @@ def _all_spectra():
 
 
 def test_rank_rests_on_a_wide_eigenvalue_gap():
-    # Every eigenvalue of every set's normal matrix is either null
-    # (|lambda| <= 1e-12, measured 2.8e-15) or at least 0.5 (measured
-    # 0.49999999999999734), and lambda_max <= 6. The rank cut
-    # linalg.RANK_TOL * lambda_max <= 6e-10 therefore sits deep inside the gap.
-    floor = 0.5 * (1 - 1e-12)
+    # Every eigenvalue of every set's normal matrix is a sum of halves: exactly
+    # 0, or at least 0.5, and lambda_max <= 6. Rank-deficient sets report
+    # exactly 0.0, never a negative eigenvalue of a PSD matrix.
     n_sets = 0
     for batch, eig, rank in _all_spectra():
-        assert eig[:, 0].max() <= 6 * (1 + 1e-12)
-        upper = eig >= floor
-        assert np.all(upper | (np.abs(eig) <= 1e-12)), batch[0]
-        np.testing.assert_array_equal(rank, upper.sum(axis=1))
+        assert eig[:, 0].max() <= 6
+        assert np.all(eig >= 0), batch[0]
+        np.testing.assert_array_equal(2 * eig, np.round(2 * eig))
+        np.testing.assert_array_equal(rank, np.count_nonzero(eig >= 0.5, axis=1))
+        deficient = eig[rank < 16, -1]
+        assert np.all(deficient == 0) and not np.signbit(deficient).any(), batch[0]
         n_sets += len(batch)
     assert n_sets == 2**18 - 1
+    report = set_report([1, 2])
+    assert report.rank < 16 and repr(report.min_eigenvalue) == "0.0"
 
 
 def test_batched_rank_matches_svd_rank(rng):
@@ -177,33 +197,55 @@ def test_batched_rank_matches_svd_rank(rng):
         assert set_report(ids).rank == svd_rank(ids), sorted(ids)
 
 
-def test_normal_matrix_is_block_diagonal():
-    # the seven blocks partition the 16 slots, every read-out's Gram block and
-    # the trace block vanish outside them, and each pair block has equal
-    # diagonal entries, so its eigenvalues are C_pp + C_pq and C_pp - C_pq
-    assert sorted(itertools.chain(DIAGONAL_SLOTS, *PAIR_SLOTS)) == list(range(16))
-    outside = np.ones((16, 16), dtype=bool)
-    for block in (DIAGONAL_SLOTS, *PAIR_SLOTS):
-        outside[np.ix_(block, block)] = False
-    p, q = np.array(PAIR_SLOTS).T
-    for r in range(18):
-        assert np.all(_GRAM[r][outside] == 0), r + 1
-        np.testing.assert_array_equal(_GRAM[r, p, p], _GRAM[r, q, q])
-    assert np.all(_TRACE_GRAM[outside] == 0)
+def test_pauli_basis_is_orthonormal():
+    np.testing.assert_allclose(_PAULI_BASIS.T @ _PAULI_BASIS, np.eye(16), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(INTEGER_BASIS, _PAULI_BASIS * NORMS, rtol=0, atol=1e-14)
+    assert set(np.abs(INTEGER_BASIS).ravel()) == {0, 1, 2}
+
+
+def test_pauli_basis_diagonalises_every_gram_block():
+    # BLAS may fuse multiply-adds, so U^T G U in floats carries 1e-16 dust
+    # off the diagonal; in the integer frame C = U * NORMS every product and
+    # sum is exact, and U^T G U = C^T G C / (NORMS NORMS^T).
+    weights = [*_PAULI_WEIGHTS, _TRACE_WEIGHTS]
+    for r, (gram, w) in enumerate(zip(GRAMS, weights), start=1):
+        exact = INTEGER_BASIS.T @ gram @ INTEGER_BASIS
+        assert np.all(exact[~np.eye(16, dtype=bool)] == 0.0), r
+        np.testing.assert_array_equal(np.diag(exact) / SQUARED_NORMS, w)
+        np.testing.assert_allclose(_PAULI_BASIS.T @ gram @ _PAULI_BASIS, np.diag(w), rtol=0, atol=1e-15)
+
+
+def test_pauli_column_reads_its_product_operator(rng):
+    pauli = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+             "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+    for _ in range(20):
+        rho = random_hermitian(rng)
+        x = matrix_to_params(rho)
+        for label, column, norm in zip(PAULI_LABELS, _PAULI_BASIS.T, NORMS):
+            sigma = np.kron(pauli[label[0]], pauli[label[1]])  # H spin first
+            assert norm * column @ x == pytest.approx(np.trace(sigma @ rho).real, abs=1e-12), label
+
+
+def test_pauli_weights_are_four_halves_per_readout():
+    for r, w in enumerate(_PAULI_WEIGHTS, start=1):
+        assert np.count_nonzero(w) == 4, r
+        assert set(w[w != 0]) <= {0.5, 1.0}, r
+    np.testing.assert_array_equal(_TRACE_WEIGHTS, np.eye(16)[PAULI_LABELS.index("II")] * 4)
+    # without a pulse, H acquisition sees rho13 and rho24, P acquisition
+    # rho12 and rho34: the H-spin and the P-spin coherences
+    observed = [{PAULI_LABELS[p] for p in np.flatnonzero(_PAULI_WEIGHTS[r - 1])} for r in (1, 10)]
+    assert observed == [{"XI", "YI", "XZ", "YZ"}, {"IX", "IY", "ZX", "ZY"}]
 
 
 def test_table_normal_matrix_matches_design():
-    # the table sums are exact, so the blocks rebuild A^T A of the assembled
-    # design bit for bit
-    p, q = np.array(PAIR_SLOTS).T
-    for sets in (goldens.MINIMAL_SETS_5, [tuple(range(1, 19))]):
-        for ids, populations, pairs in zip(sets, *_normal_blocks(sets)):
-            plus, minus = np.split(pairs, 2)
-            rebuilt = np.zeros((16, 16))
-            rebuilt[np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)] = populations
-            rebuilt[p, p] = rebuilt[q, q] = (plus + minus) / 2
-            rebuilt[p, q] = rebuilt[q, p] = (plus - minus) / 2
+    # the table sums are exact, so U diag(w) U^T, taken in the integer frame,
+    # rebuilds A^T A of the assembled design bit for bit
+    for sets in (goldens.MINIMAL_SETS_5, [(1, 2), (3, 11, 17)], [tuple(range(1, 19))]):
+        for ids in sets:
+            w = _PAULI_WEIGHTS[np.array(ids) - 1].sum(axis=0) + _TRACE_WEIGHTS
+            rebuilt = INTEGER_BASIS @ np.diag(w / SQUARED_NORMS) @ INTEGER_BASIS.T
             np.testing.assert_array_equal(rebuilt, normal_system(assemble_design(ids)).matrix)
+            np.testing.assert_array_equal(np.sort(w)[::-1], _spectra([ids])[0][0])
 
 
 def _margin_batches(rng):
@@ -220,10 +262,11 @@ def _margin_batches(rng):
 def test_rank_margin_without_trace_row(rng):
     # The trace vector t has A t = 0 without the trace row and C t = 4 t with
     # it, so the trace row turns one null eigenvalue into 4 and leaves the
-    # rest of the spectrum; the rank cut then sees the same gap either way.
+    # rest of the spectrum; the table drops its trace weights to match.
     n_sets = 0
     for sets in _margin_batches(rng):
         with_trace, _ = _spectra(sets)
+        table, table_rank = _spectra(sets, include_trace=False)
         designs = [assemble_design(ids, include_trace=False) for ids in sets]
         without = np.linalg.eigvalsh([normal_system(d).matrix for d in designs])[:, ::-1]
         four = np.abs(with_trace - 4).argmin(axis=1)
@@ -232,30 +275,40 @@ def test_rank_margin_without_trace_row(rng):
         swapped = with_trace.copy()
         swapped[rows, four] = 0
         np.testing.assert_allclose(np.sort(swapped, axis=1)[:, ::-1], without, rtol=0, atol=1e-12)
-        assert _rank(without).tolist() == [matrix_rank(d.matrix) for d in designs]
+        np.testing.assert_allclose(table, without, rtol=0, atol=1e-12)
+        assert table_rank.tolist() == [matrix_rank(d.matrix) for d in designs]
         n_sets += len(sets)
     assert n_sets == 3060 + 8568 + 2000
 
 
-def test_block_spectra_match_full_eigensolve(rng):
+def test_table_spectra_match_full_eigensolve(rng):
     for sets in (*_margin_batches(rng), [tuple(range(1, 19))]):
         eig, _ = _spectra(sets)
         full = np.linalg.eigvalsh([normal_system(assemble_design(ids)).matrix for ids in sets])
         np.testing.assert_allclose(eig, full[:, ::-1], rtol=0, atol=1e-12)
 
 
-def test_equal_population_blocks_give_bit_equal_spectra():
-    # a block's eigenvalues do not depend on where it falls in a batch, so
-    # ties between sets with equal population blocks are bit-equal
+def test_spectra_do_not_depend_on_the_batch():
+    # the sums are exact, so a set's spectrum is bit-equal in any batch
     sets = list(itertools.combinations(range(1, 19), 5))
-    populations, _ = _normal_blocks(sets)
-    seen = {}
-    for block, e in zip(populations, np.linalg.eigvalsh(populations)):
-        np.testing.assert_array_equal(e, seen.setdefault(block.tobytes(), e))
-    assert len(seen) < len(sets)
-    eig, _ = _spectra(sets)
+    eig, rank = _spectra(sets)
+    pieces = [_spectra(sets[i:i + 7]) for i in range(0, len(sets), 7)]
+    np.testing.assert_array_equal(eig, np.concatenate([e for e, _ in pieces]))
+    np.testing.assert_array_equal(rank, np.concatenate([r for _, r in pieces]))
     for ids, e in zip(sets[::97], eig[::97]):
         np.testing.assert_array_equal(set_report(ids).eigenvalues, e)
+
+
+def test_ranking_does_not_depend_on_input_order(rng):
+    # smallest eigenvalues are exactly 1/2 or 1, so ties are bit-equal and
+    # fall back to ids whatever order the reports come in
+    reports = [r for k in (5, 6, 7) for r in enumerate_minimal_sets(k)]
+    for k in (5, 6, 7):
+        assert {r.min_eigenvalue for r in reports if len(r.ids) == k} == {0.5, 1.0}
+    shuffled = [reports[i] for i in rng.permutation(len(reports))]
+    ranked = [r.ids for r in rank_sets_by_conditioning(reports)]
+    assert [r.ids for r in rank_sets_by_conditioning(shuffled)] == ranked
+    assert len(ranked) == 72 + 1182 + 6714
 
 
 def test_full_rank_set_count_over_all_sizes():
