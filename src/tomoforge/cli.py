@@ -36,11 +36,9 @@ from .model import (
     params_to_matrix,
     simulate_readings,
 )
-from .search import _spectra, enumerate_minimal_sets, rank_sets_by_conditioning
+from .search import enumerate_minimal_sets, rank_sets_by_conditioning
 
 _ENV_THRESHOLD = "TOMOFORGE_THRESHOLD"
-# Coefficients smaller than this are left out of printed combinations.
-_TERM_CUTOFF = 5e-5
 
 
 def _fmt(value: float) -> str:
@@ -74,7 +72,8 @@ def _resolve_threshold(flag_value) -> float:
 
 
 def _combination_terms(coeffs) -> str:
-    terms = [f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if abs(c) >= _TERM_CUTOFF]
+    # a built design's combinations are product operators: zeros are exact
+    terms = [f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if c]
     return " ".join(terms) if terms else "0"
 
 
@@ -84,7 +83,7 @@ def _cmd_analyze(args) -> int:
     design = assemble_design(ids, include_trace=not args.no_trace)
     ns = normal_system(design)
     report = error_matrix_analysis(ns, threshold)
-    rank = int(_spectra([ids], include_trace=not args.no_trace)[1][0])
+    rank = int(np.count_nonzero(report.eigenvalues))
     statuses = ["ill" if bad else "well" for bad in report.ill_determined]
 
     if args.format == "csv":

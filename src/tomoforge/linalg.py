@@ -3,8 +3,8 @@ fixed ordering/sign convention, singular-value rank, and the spectral norm.
 
 ``SYMMETRY_TOL`` is the largest |S - S^T| entry ``sym_eigen`` accepts. A
 singular value counts toward ``matrix_rank`` above ``RANK_TOL`` times the
-largest. The search reads ranks off exact table sums instead, and
-``matrix_rank`` is the reference kernel they are tested against.
+largest. Built designs are decomposed exactly in the product-operator
+basis instead, tested against these kernels; ``sym_eigen`` takes the rest.
 
 Everything here is a pure function of its inputs. The matrices this package
 cares about are at most 73x16, so clarity and reproducibility win over speed.
@@ -37,17 +37,12 @@ class SymEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def sym_eigen(matrix) -> SymEigen:
-    """Decompose a real symmetric matrix into eigenvalues and eigenvectors.
-
-    Raises ValidationError if the input is not square, not finite or not
-    symmetric within ``SYMMETRY_TOL``.
-    """
+def _symmetric(matrix) -> np.ndarray:
+    """``matrix`` as a float array, checked as ``sym_eigen`` documents."""
     s = _finite_array(matrix, (None, None), "sym_eigen matrix", float)
     if s.shape[0] != s.shape[1]:
         raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
-    # halved first, so neither S - S^T nor S + S^T can overflow; halving is
-    # exact outside the subnormal range
+    # halved first, so S - S^T cannot overflow; exact outside the subnormals
     h = 0.5 * s
     asym = 2.0 * float(np.max(np.abs(h - h.T)))
     if asym > SYMMETRY_TOL:
@@ -55,6 +50,16 @@ def sym_eigen(matrix) -> SymEigen:
             f"matrix is not symmetric: max |S - S^T| entry is {asym:.3e} "
             f"(tolerance {SYMMETRY_TOL:.1e})"
         )
+    return s
+
+
+def sym_eigen(matrix) -> SymEigen:
+    """Decompose a real symmetric matrix into eigenvalues and eigenvectors.
+
+    Raises ValidationError if the input is not square, not finite or not
+    symmetric within ``SYMMETRY_TOL``.
+    """
+    h = 0.5 * _symmetric(matrix)  # halved, so S + S^T cannot overflow
     w, v = np.linalg.eigh(h + h.T)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]

@@ -13,23 +13,23 @@ normal rhs, parameters, priors, density matrices) is converted and checked
 once by ``errors._finite_array``, so a NaN or a wrong shape is a
 ValidationError, never a NaN result; every threshold by ``_threshold``.
 
-The decomposition of C depends on the design alone, never on the readings,
-so ``reconstruct`` takes it from ``_basis``, a bounded memo of the last few
-designs keyed by the bytes of A, with no setting. A repeated design is
-decomposed once, and the results are bit-identical to a fresh solve.
+Analysis and reconstruction decompose C by ``_decompose``: in the basis of
+the 16 two-spin product operators, which diagonalises C exactly for every
+design ``assemble_design`` builds, or else, as for a row-scaled caller
+design, by ``linalg.sym_eigen``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, _finite_array
-from .linalg import spectral_norm, sym_eigen
-from .model import N_PARAMS, DesignSystem, maximally_mixed_params
+from .linalg import _symmetric, spectral_norm, sym_eigen
+from .model import _FRAME_NORMS, _FUNCTIONALS, _PAULI_BASIS, N_PARAMS, DesignSystem, maximally_mixed_params
 
 DEFAULT_THRESHOLD = 0.001
 
@@ -88,15 +88,19 @@ def _threshold(value) -> float:
     return t
 
 
-@lru_cache(maxsize=8)
-def _basis(a_bytes: bytes, rows: int):
-    """Descending eigenvalues of A^T A and its combinations (one per row),
-    both read-only, for the float64 design matrix A stored in ``a_bytes``."""
-    a = np.frombuffer(a_bytes).reshape(rows, N_PARAMS)
-    w, v = sym_eigen(a.T @ a)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v.T
+def _decompose(c: np.ndarray):
+    """Descending eigenvalues of the symmetric matrix ``c`` and its combinations,
+    one per row: if G = F^T c F (F the integer functionals) is finite with exact
+    zeros off the diagonal, diag(G) over F's squared lengths and the product
+    operators, ties in ``PAULI_LABELS`` order; otherwise those of ``sym_eigen``."""
+    if c.shape == (N_PARAMS, N_PARAMS):
+        g = _FUNCTIONALS.T @ c @ _FUNCTIONALS
+        w = g.diagonal() / _FRAME_NORMS
+        if np.count_nonzero(g) == np.count_nonzero(w) and math.isfinite(w.sum()):
+            order = np.argsort(-w, kind="stable")
+            return w[order], _PAULI_BASIS.T[order]
+    dec = sym_eigen(c)
+    return dec.eigenvalues, dec.vectors.T
 
 
 def normal_system(design: DesignSystem) -> NormalSystem:
@@ -108,15 +112,9 @@ def normal_system(design: DesignSystem) -> NormalSystem:
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
     """Diagonalize the normal matrix and flag ill-determined combinations."""
     threshold = _threshold(threshold)
-    dec = sym_eigen(ns.matrix)
-    combos = dec.vectors.T
-    return ErrorMatrixReport(
-        eigenvalues=dec.eigenvalues,
-        combinations=combos,
-        projected_rhs=combos @ _finite_array(ns.rhs, (len(combos),), "normal rhs", float),
-        ill_determined=dec.eigenvalues < threshold,
-        threshold=threshold,
-    )
+    w, combos = _decompose(_symmetric(ns.matrix))
+    rhs = _finite_array(ns.rhs, (len(combos),), "normal rhs", float)
+    return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)
 
 
 def chi2(design: DesignSystem, params) -> float:
@@ -137,7 +135,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float)
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
-    eigenvalues, combos = _basis(a.tobytes(), len(a))
+    eigenvalues, combos = _decompose(a.T @ a)
     kept = eigenvalues >= threshold
     if not kept.any():
         raise NumericalError(
@@ -147,7 +145,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     solved = np.divide(combos @ (a.T @ b), eigenvalues, out=np.zeros(16), where=kept)
     y = np.where(kept, solved, combos @ prior)
     x = combos.T @ y
-    truncated = tuple((float(eigenvalues[k]), combos[k].copy()) for k in np.flatnonzero(~kept))
+    truncated = tuple((float(eigenvalues[k]), combos[k]) for k in np.flatnonzero(~kept))
     r = a @ x - b
     return ReconstructionResult(x, float(r @ r), truncated, prior)
 

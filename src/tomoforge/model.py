@@ -209,18 +209,18 @@ _PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1
 _FUNCTIONALS = np.array(
     [np.einsum("ij,mji->m", np.kron(_PAULI[a], _PAULI[b]), _BASIS).real for a, b in PAULI_LABELS]
 ).T
-_PAULI_BASIS = _FUNCTIONALS / np.linalg.norm(_FUNCTIONALS, axis=0)
+_FRAME_NORMS = (_FUNCTIONALS**2).sum(axis=0)  # the squared lengths, 4 or 8
+_PAULI_BASIS = _FUNCTIONALS / np.sqrt(_FRAME_NORMS)
 # A 90-degree pulse maps each product operator onto another, so a read-out
 # observes four of them and U diagonalises its Gram block A_r^T A_r, and the
 # trace row's. Row r-1 of _PAULI_WEIGHTS is the diagonal of U^T A_r^T A_r U,
-# the squared column lengths of A_r U rounded to halves as _build_rows rounds
-# the rows: four entries of 1/2 or 1. _TRACE_WEIGHTS is 4 on II. A set's
-# normal matrix is U diag(w) U^T, w the sum of its rows and the trace weights,
-# so every eigenvalue is an exact sum of halves.
+# taken exactly in the integer frame: four entries of 1/2 or 1. _TRACE_WEIGHTS
+# is 4 on II. A set's normal matrix is U diag(w) U^T, w the sum of its rows and
+# the trace weights, so every eigenvalue is an exact sum of halves.
 _PAULI_WEIGHTS, _TRACE_WEIGHTS = (
-    np.round(2 * ((rows @ _PAULI_BASIS) ** 2).sum(axis=-2)) / 2 for rows in (_ROWS, _TRACE_ROW[None])
+    ((rows @ _FUNCTIONALS) ** 2).sum(axis=-2) / _FRAME_NORMS for rows in (_ROWS, _TRACE_ROW[None])
 )
-for _table in (_PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS):
+for _table in (_FUNCTIONALS, _FRAME_NORMS, _PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS):
     _table.setflags(write=False)
 
 

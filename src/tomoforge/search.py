@@ -1,14 +1,13 @@
 """Combinatorial search over read-out sets.
 
 A set of read-outs determines all 16 parameters iff its design system
-(with the trace row) has rank 16. One fixed orthonormal basis, the 16
-two-spin product operators (``model.PAULI_LABELS``), diagonalises every
-read-out's share of the normal matrix and the trace row's, so a set's
-spectrum is a sum of rows of the 18x16 table ``model._PAULI_WEIGHTS`` plus
-the trace weights. Every entry is an exact sum of halves: no eigensolve is
-run, and the rank is the count of nonzero eigenvalues. Sets are scored in
-batches, one matrix product each. ``cli analyze`` reads its rank off the
-same table, and the tests check it against the singular-value
+(with the trace row) has rank 16. The 16 two-spin product operators
+(``model.PAULI_LABELS``) diagonalise every read-out's share of the normal
+matrix and the trace row's, so a set's spectrum is the sum of its rows of
+the 18x16 table ``model._PAULI_WEIGHTS`` and the trace weights. Every entry
+is an exact sum of halves: no eigensolve is run, and the rank is the count
+of nonzero eigenvalues. Sets are scored in batches, one matrix product
+each; the tests check the ranks against the singular-value
 ``linalg.matrix_rank``. These helpers check single sets, find the smallest
 workable size, exhaustively enumerate all full-rank sets of a given size,
 and rank sets by how well-conditioned their normal matrix is.
@@ -40,18 +39,16 @@ class SetReport:
     eigenvalues: np.ndarray
 
 
-def _spectra(sets, include_trace=True):
+def _spectra(sets):
     """Descending normal-matrix spectra of equal-size id sets, and their ranks:
-    each spectrum is the sum of the sets' rows of the weight table, plus the
-    trace weights unless ``include_trace`` is False. Entries are sums of
-    halves, so they are exact and the rank is the count of nonzero ones."""
+    each spectrum is the sum of the sets' rows of the weight table and the
+    trace weights. Entries are sums of halves, so they are exact and the rank
+    is the count of nonzero ones."""
     k = len(sets[0])
     ids = np.fromiter(itertools.chain.from_iterable(sets), np.intp, len(sets) * k).reshape(-1, k)
     chosen = np.zeros((len(ids), N_READOUTS))
     np.put_along_axis(chosen, ids - 1, 1.0, axis=1)
-    eig = chosen @ _PAULI_WEIGHTS
-    if include_trace:
-        eig += _TRACE_WEIGHTS
+    eig = chosen @ _PAULI_WEIGHTS + _TRACE_WEIGHTS
     eig.sort(axis=1)
     eig = eig[:, ::-1]
     return eig, np.count_nonzero(eig, axis=1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from tomoforge import (
     DEFAULT_THRESHOLD,
     PEAKS,
     DesignSystem,
+    NormalSystem,
     NumericalError,
     Reading,
     ValidationError,
@@ -21,8 +24,10 @@ from tomoforge import (
     reconstruct,
     relative_error,
     simulate_readings,
+    sym_eigen,
 )
-from tomoforge.lsq import _basis
+from tomoforge import lsq
+from tomoforge.model import PAULI_LABELS, _PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS
 from conftest import random_trace_one_hermitian
 
 import goldens
@@ -288,8 +293,9 @@ def test_threshold_must_be_a_real_number():
                 call()
 
 
-# The basis memo under ``reconstruct``: results must be bit-identical to a
-# fresh solve through the public normal_system and error_matrix_analysis.
+# ``reconstruct`` and ``error_matrix_analysis`` share one decomposition,
+# ``lsq._decompose``: the product-operator basis for every built design,
+# ``sym_eigen`` for anything else.
 
 
 def _reference_solve(design, threshold=DEFAULT_THRESHOLD, prior=None):
@@ -314,7 +320,26 @@ def _assert_same_bytes(result, reference):
         assert combo.tobytes() == ref_combo.tobytes()
 
 
-def test_cached_basis_is_bit_identical_to_a_fresh_solve():
+def _lapack_solve(design, threshold, prior):
+    """The same solve in LAPACK's eigenbasis: ``sym_eigen(A^T A)``, whatever
+    mixture it returns inside a degenerate eigenspace."""
+    a, b = design.matrix, design.rhs
+    dec = sym_eigen(a.T @ a)
+    w, combos = dec.eigenvalues, dec.vectors.T
+    kept = w >= threshold
+    solved = np.divide(combos @ (a.T @ b), w, out=np.zeros(16), where=kept)
+    x = combos.T @ np.where(kept, solved, combos @ prior)
+    r = a @ x - b
+    return x, float(r @ r)
+
+
+def _count_sym_eigen(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lsq, "sym_eigen", lambda c: calls.append(1) or sym_eigen(c))
+    return calls
+
+
+def test_reconstruct_is_bit_identical_to_the_public_solve():
     rng = np.random.default_rng(9)
     sets = [list(s) for s in goldens.MINIMAL_SETS_5] + [list(range(1, 19)), [1, 2, 3, 4]]
     for _ in range(200):
@@ -333,41 +358,92 @@ def test_cached_basis_is_bit_identical_to_a_fresh_solve():
     assert n_truncated > 0  # [1, 2, 3, 4] and the small random sets truncate
 
 
-def test_cold_and_warm_basis_give_the_same_bytes():
-    d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
-    _basis.cache_clear()
-    cold = reconstruct(d)
-    warm = reconstruct(d)
-    assert _basis.cache_info().hits == 1 and _basis.cache_info().misses == 1
-    _assert_same_bytes(warm, (cold.params, cold.chi2, cold.truncated_directions))
+def test_reconstruct_agrees_with_the_lapack_eigenbasis():
+    rng = np.random.default_rng(12)
+    sets = [list(s) for s in goldens.MINIMAL_SETS_5] + [list(range(1, 19))]
+    for _ in range(300):
+        sets.append(sorted(rng.choice(np.arange(1, 19), size=int(rng.integers(1, 19)), replace=False).tolist()))
+    for i, ids in enumerate(sets):
+        d = assemble_design(ids, readings=simulate_readings(random_trace_one_hermitian(rng), ids, 0.01, seed=i))
+        prior = maximally_mixed_params() if i % 2 else matrix_to_params(random_trace_one_hermitian(rng))
+        for threshold in (1e-3, 0.3, 0.7):
+            result = reconstruct(d, threshold=threshold, prior=prior)
+            x, c2 = _lapack_solve(d, threshold, prior)
+            np.testing.assert_allclose(result.params, x, rtol=0, atol=1e-12)
+            assert result.chi2 == pytest.approx(c2, rel=0, abs=1e-12)
 
 
-def test_callers_cannot_reach_the_cached_basis():
+def _built_designs(rng):
+    """Every set of sizes 1, 2, 17 and 18, the golden five-sets and 200 seeded
+    sets of other sizes, each with and without the trace row."""
+    sets = [c for k in (1, 2, 17, 18) for c in itertools.combinations(range(1, 19), k)]
+    sets += list(goldens.MINIMAL_SETS_5)
+    sets += [rng.choice(np.arange(1, 19), size=int(rng.integers(3, 17)), replace=False) for _ in range(200)]
+    for ids in sets:
+        for include_trace in (True, False):
+            yield ids, include_trace, assemble_design(ids, include_trace=include_trace)
+
+
+def test_built_designs_decompose_in_the_product_operator_basis(monkeypatch, rng):
+    calls = _count_sym_eigen(monkeypatch)
+    for ids, include_trace, d in _built_designs(rng):
+        weights = _PAULI_WEIGHTS[np.asarray(ids) - 1].sum(axis=0) + (_TRACE_WEIGHTS if include_trace else 0)
+        order = np.argsort(-weights, kind="stable")  # ties in PAULI_LABELS order
+        report = error_matrix_analysis(normal_system(d))
+        np.testing.assert_array_equal(report.eigenvalues, weights[order])
+        np.testing.assert_array_equal(report.combinations, _PAULI_BASIS.T[order])
+    assert calls == []
+    # read-outs 1-4 (H acquisition) leave five product operators unobserved,
+    # listed last in PAULI_LABELS order
+    report = error_matrix_analysis(normal_system(assemble_design([1, 2, 3, 4])))
+    null = [PAULI_LABELS[_PAULI_BASIS.T.tolist().index(c.tolist())] for c in report.combinations[-5:]]
+    assert null == ["IZ", "IX", "IY", "ZX", "ZY"]
+    np.testing.assert_array_equal(report.eigenvalues[-5:], 0.0)
+
+
+def test_null_directions_are_exact_and_held_at_the_prior(rng):
+    ids = [1, 2, 3, 4]
+    d = assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids, noise_sigma=0.01, seed=1))
+    for threshold in (5e-324, 1e-300, 1e-20, 1e-3, 0.5):
+        result = reconstruct(d, threshold=threshold)
+        assert [lam for lam, _ in result.truncated_directions] == [0.0] * 5
+        assert np.abs(result.params).max() < 1.0
+    for _, _, d in _built_designs(rng):
+        w = error_matrix_analysis(normal_system(d)).eigenvalues
+        rank = matrix_rank(d.matrix)
+        assert np.all(w >= 0) and not np.signbit(w).any()
+        np.testing.assert_array_equal(2 * w, np.round(2 * w))
+        assert np.count_nonzero(w) == rank and np.all(w[rank:] == 0.0)
+
+
+def test_row_scaled_design_takes_the_general_eigensolver(monkeypatch, rng):
+    calls = _count_sym_eigen(monkeypatch)
+    for ids in (goldens.SIX_READOUT_IDS, range(1, 19)):
+        d = assemble_design(ids, readings=simulate_readings(random_trace_one_hermitian(rng), ids, 0.01, seed=4))
+        scale = rng.uniform(0.5, 2.0, d.rows)
+        scaled = DesignSystem(scale[:, None] * d.matrix, scale * d.rhs, d.row_labels)
+        x = reconstruct(scaled).params
+        np.testing.assert_allclose(x, np.linalg.lstsq(scaled.matrix, scaled.rhs, rcond=None)[0], rtol=0, atol=1e-12)
+    assert len(calls) == 2
+    report = error_matrix_analysis(NormalSystem(np.diag([3.0, 1.0, 2.0]), np.ones(3)))
+    np.testing.assert_array_equal(report.eigenvalues, [3.0, 2.0, 1.0])
+    assert len(calls) == 3
+
+
+def test_callers_cannot_reach_the_pauli_basis():
+    basis = _PAULI_BASIS.copy()
     d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
     first = reconstruct(d)
     expected = (first.params.copy(), first.chi2, [(lam, c.copy()) for lam, c in first.truncated_directions])
+    report = error_matrix_analysis(normal_system(d))
+    combos = report.combinations.copy()
     first.params[:] = 7.0
     first.truncated_directions[0][1][:] = 7.0
     first.prior_used[:] = 7.0
+    report.combinations[0] = 7.0
     _assert_same_bytes(reconstruct(d), expected)
-    a = d.matrix
-    for cached in _basis(a.tobytes(), len(a)):
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0] = 1.0
-
-
-def test_basis_key_is_the_matrix_not_the_labels():
-    ids = goldens.SIX_READOUT_IDS
-    d = assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids, noise_sigma=0.01, seed=1))
-    reconstruct(d)
-    bumped = d.matrix.copy()
-    row, col = np.argwhere(bumped != 0)[0]
-    bumped[row, col] = np.nextafter(bumped[row, col], np.inf)
-    near = DesignSystem(bumped, d.rhs, d.row_labels)
-    misses = _basis.cache_info().misses
-    _assert_same_bytes(reconstruct(near), _reference_solve(near))
-    assert _basis.cache_info().misses == misses + 1
+    np.testing.assert_array_equal(error_matrix_analysis(normal_system(d)).combinations, combos)
+    assert _PAULI_BASIS.tobytes() == basis.tobytes() and not _PAULI_BASIS.flags.writeable
 
 
 def test_hopeless_threshold_raises_on_every_call():
@@ -375,12 +451,3 @@ def test_hopeless_threshold_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(NumericalError, match="threshold"):
             reconstruct(d, threshold=1e9)
-
-
-def test_basis_memo_stays_bounded():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        ids = sorted(rng.choice(np.arange(1, 19), size=6, replace=False).tolist())
-        reconstruct(assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids)))
-    info = _basis.cache_info()
-    assert info.currsize <= info.maxsize
