@@ -9,6 +9,8 @@ The package splits into five layers:
 * io/cli  - text formats and the command-line surface
 """
 
+import types as _types
+
 from .errors import NumericalError, ValidationError
 from .linalg import SymEigen, matrix_rank, spectral_norm, sym_eigen
 from .lsq import (
@@ -65,54 +67,5 @@ from .search import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_THRESHOLD",
-    "DIAGONAL_SLOTS",
-    "DesignSystem",
-    "ErrorMatrixReport",
-    "N_PARAMS",
-    "N_READOUTS",
-    "NormalSystem",
-    "NumericalError",
-    "PEAKS",
-    "ROTATION_LABELS",
-    "Reading",
-    "ReconstructionResult",
-    "SetReport",
-    "SymEigen",
-    "TRACE_LABEL",
-    "ValidationError",
-    "apply_rotation",
-    "assemble_design",
-    "chi2",
-    "enumerate_minimal_sets",
-    "error_matrix_analysis",
-    "format_density",
-    "format_readings",
-    "is_trace_normalized",
-    "matrix_rank",
-    "matrix_to_params",
-    "maximally_mixed_params",
-    "minimum_readout_count",
-    "normal_system",
-    "observable_positions",
-    "params_to_matrix",
-    "parse_density",
-    "parse_readings",
-    "psd_project",
-    "rank_sets_by_conditioning",
-    "read_density",
-    "read_readings",
-    "readout_label",
-    "readout_rows",
-    "readout_spin",
-    "reconstruct",
-    "relative_error",
-    "rotation_matrix",
-    "set_report",
-    "simulate_readings",
-    "spectral_norm",
-    "sym_eigen",
-    "write_density",
-    "write_readings",
-]
+# every public name imported above, in sorted order
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _types.ModuleType))

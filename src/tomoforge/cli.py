@@ -32,7 +32,6 @@ from .model import (
     N_READOUTS,
     assemble_design,
     matrix_to_params,
-    maximally_mixed_params,
     params_to_matrix,
     simulate_readings,
 )
@@ -148,10 +147,7 @@ def _cmd_reconstruct(args) -> int:
     readings = tomoio.read_readings(args.readings)
     ids = sorted({r.readout for r in readings})
     threshold = _resolve_threshold(args.threshold)
-    if args.prior == "mixed":
-        prior = maximally_mixed_params()
-    else:
-        prior = matrix_to_params(tomoio.read_density(args.prior))
+    prior = None if args.prior == "mixed" else matrix_to_params(tomoio.read_density(args.prior))
     design = assemble_design(ids, readings=readings)
     result = reconstruct(design, threshold=threshold, prior=prior)
     rho = params_to_matrix(result.params)

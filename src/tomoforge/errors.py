@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and ``_finite_array``, the rule
-every public function applies to each array argument.
+"""Exception types shared across the package, ``_finite_array``, the rule
+every public function applies to each array argument, and ``_real``, the
+rule for each scalar real-number argument.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
 """
+
+import numbers
 
 import numpy as np
 
@@ -43,3 +46,13 @@ def _finite_array(value, shape: tuple, what: str, dtype=None) -> np.ndarray:
         raise ValidationError(f"{what} has non-finite entries")
     return a
 
+
+def _real(value):
+    """``value`` as a float, or None unless it is a real number (not a string,
+    complex number or array); an integer beyond the float range is +-inf."""
+    if not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf

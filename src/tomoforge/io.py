@@ -3,7 +3,8 @@
 Readings file: one record per line, ``readout_id,peak,real,imag``, with
 ``#`` comment lines; header comments may carry ``# key=value`` metadata
 (noise_sigma, seed, source); a key or value with a line break in it is
-rejected. The writer and the parser check every record by the rule
+rejected. Ids and values are ASCII numbers without digit-group underscores.
+The writer and the parser check every record by the rule
 ``assemble_design`` applies, so a file the writer produces is one the parser
 reads. Floats are written with repr, so a write/parse round trip is
 bit-exact. The writers format the whole text before opening the file, so a
@@ -14,6 +15,8 @@ Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
 a warning up to ``HERMITICITY_ERROR_TOL``, an error above that. The writer
 refuses what the parser refuses, so every file it writes parses back
 bit-exactly.
+
+Both readers take UTF-8 text; any other file is a ValidationError.
 """
 
 from __future__ import annotations
@@ -28,11 +31,20 @@ import numpy as np
 from .errors import ValidationError, _finite_array
 from .model import Reading, _add_reading, _hermiticity_defect
 
-_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i", re.ASCII)  # \d: 0-9 only
 
 HERMITICITY_WARN_TOL = 1e-6
 HERMITICITY_ERROR_TOL = 1e-2
+
+
+def _read_text(path) -> str:
+    """The text of the file at ``path``; ValidationError naming it unless it is UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_readings(text: str) -> list:
@@ -47,6 +59,8 @@ def parse_readings(text: str) -> list:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if "_" in line or not line.isascii():  # int() and float() take 1_0 and non-ASCII digits
+            raise ValidationError(f"line {lineno}: expected ASCII text without '_', got {raw!r}")
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             raise ValidationError(
@@ -89,12 +103,11 @@ def write_readings(path, readings: Iterable[Reading], metadata: Optional[dict] =
 
 
 def read_readings(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return parse_readings(fh.read())
+    return parse_readings(_read_text(path))
 
 
 def _parse_complex(token: str, lineno: int):
-    m = _COMPLEX_RE.match(token)
+    m = _COMPLEX_RE.fullmatch(token)
     if m is None:
         raise ValidationError(f"line {lineno}: unparseable complex literal {token!r} (expected a+bi)")
     value = complex(float(m.group(1)), float(m.group(2)))
@@ -149,5 +162,4 @@ def write_density(path, matrix) -> None:
 
 
 def read_density(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return parse_density(fh.read())
+    return parse_density(_read_text(path))

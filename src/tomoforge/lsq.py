@@ -13,21 +13,21 @@ normal rhs, parameters, priors, density matrices) is converted and checked
 once by ``errors._finite_array``, so a NaN or a wrong shape is a
 ValidationError, never a NaN result; every threshold by ``_threshold``.
 
-Analysis and reconstruction decompose C by ``_decompose``: in the basis of
-the 16 two-spin product operators, which diagonalises C exactly for every
-design ``assemble_design`` builds, or else, as for a row-scaled caller
-design, by ``linalg.sym_eigen``.
+Analysis and reconstruction share one step, ``_analysis``: it decomposes C
+in the basis of the 16 two-spin product operators, exact for every design
+``assemble_design`` builds, or else by ``linalg.sym_eigen``, projects b and
+flags the combinations below the threshold; ``reconstruct`` holds those at
+the prior and solves the rest.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite_array
+from .errors import NumericalError, ValidationError, _finite_array, _real
 from .linalg import _symmetric, spectral_norm, sym_eigen
 from .model import _FRAME_NORMS, _FUNCTIONALS, _PAULI_BASIS, N_PARAMS, DesignSystem, maximally_mixed_params
 
@@ -76,31 +76,32 @@ def _design_arrays(design: DesignSystem):
 
 def _threshold(value) -> float:
     """The truncation threshold as a float; ValidationError unless it is a real
-    number (not a string, complex number or array) with 0 < value < inf."""
-    if not isinstance(value, numbers.Real):
+    number (``errors._real``) with 0 < value < inf."""
+    t = _real(value)
+    if t is None:
         raise ValidationError(f"threshold must be a real number, got {value!r}")
-    try:
-        t = float(value)
-    except OverflowError:  # an integer beyond the float range
-        t = np.inf
     if not 0 < t < np.inf:
         raise ValidationError(f"threshold must be positive and finite, got {value}")
     return t
 
 
-def _decompose(c: np.ndarray):
-    """Descending eigenvalues of the symmetric matrix ``c`` and its combinations,
-    one per row: if G = F^T c F (F the integer functionals) is finite with exact
-    zeros off the diagonal, diag(G) over F's squared lengths and the product
+def _analysis(c: np.ndarray, rhs: np.ndarray, threshold: float) -> ErrorMatrixReport:
+    """The report of a checked symmetric ``c``. If G = F^T c F (F the integer
+    functionals) is finite with exact zeros off the diagonal, the eigenvalues
+    are diag(G) over F's squared lengths and the combinations the product
     operators, ties in ``PAULI_LABELS`` order; otherwise those of ``sym_eigen``."""
-    if c.shape == (N_PARAMS, N_PARAMS):
+    exact = c.shape == (N_PARAMS, N_PARAMS)
+    if exact:
         g = _FUNCTIONALS.T @ c @ _FUNCTIONALS
         w = g.diagonal() / _FRAME_NORMS
-        if np.count_nonzero(g) == np.count_nonzero(w) and math.isfinite(w.sum()):
-            order = np.argsort(-w, kind="stable")
-            return w[order], _PAULI_BASIS.T[order]
-    dec = sym_eigen(c)
-    return dec.eigenvalues, dec.vectors.T
+        exact = np.count_nonzero(g) == np.count_nonzero(w) and math.isfinite(w.sum())
+    if exact:
+        order = np.argsort(-w, kind="stable")
+        w, combos = w[order], _PAULI_BASIS.T[order]
+    else:
+        dec = sym_eigen(c)
+        w, combos = dec.eigenvalues, dec.vectors.T
+    return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)
 
 
 def normal_system(design: DesignSystem) -> NormalSystem:
@@ -112,9 +113,8 @@ def normal_system(design: DesignSystem) -> NormalSystem:
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
     """Diagonalize the normal matrix and flag ill-determined combinations."""
     threshold = _threshold(threshold)
-    w, combos = _decompose(_symmetric(ns.matrix))
-    rhs = _finite_array(ns.rhs, (len(combos),), "normal rhs", float)
-    return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)
+    c = _symmetric(ns.matrix)
+    return _analysis(c, _finite_array(ns.rhs, (len(c),), "normal rhs", float), threshold)
 
 
 def chi2(design: DesignSystem, params) -> float:
@@ -132,21 +132,21 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     the maximally mixed state). Raises NumericalError when no combination
     at all clears the threshold.
     """
-    prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float)
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
-    eigenvalues, combos = _decompose(a.T @ a)
-    kept = eigenvalues >= threshold
-    if not kept.any():
+    prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
+    report = _analysis(a.T @ a, a.T @ b, threshold)
+    held = report.ill_determined
+    if held.all():
         raise NumericalError(
             f"no parameter combination is determined at threshold {threshold:g}; "
             "the design system carries no usable information"
         )
-    solved = np.divide(combos @ (a.T @ b), eigenvalues, out=np.zeros(16), where=kept)
-    y = np.where(kept, solved, combos @ prior)
-    x = combos.T @ y
-    truncated = tuple((float(eigenvalues[k]), combos[k]) for k in np.flatnonzero(~kept))
+    w, combos = report.eigenvalues, report.combinations
+    solved = np.divide(report.projected_rhs, w, out=np.zeros(N_PARAMS), where=~held)
+    x = combos.T @ np.where(held, combos @ prior, solved)
     r = a @ x - b
+    truncated = tuple((float(w[k]), combos[k]) for k in np.flatnonzero(held))
     return ReconstructionResult(x, float(r @ r), truncated, prior)
 
 

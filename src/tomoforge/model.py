@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array
+from .errors import ValidationError, _finite_array, _real
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -344,23 +344,21 @@ def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: i
 
     ``rho`` must be Hermitian and of unit trace, within ``HERMITICITY_TOL``
     and ``TRACE_TOL``. Gaussian noise of standard deviation ``noise_sigma``
-    (finite, >= 0) is added independently to the real and imaginary part of
-    every peak; the draw order is fixed (ascending id, left before right,
-    real before imaginary), so a seed, an integer >= 0, pins the output.
+    (a real number, finite and >= 0) is added independently to the real and
+    imaginary part of every peak; the draw order is fixed (ascending id, left
+    before right, real before imaginary), so a seed, an integer >= 0, pins
+    the output.
     """
     x = matrix_to_params(rho)
     if not is_trace_normalized(x):
         raise ValidationError(f"density matrix must have trace 1, got {_trace(x)!r}")
-    try:
-        sigma_ok = 0 <= noise_sigma < np.inf
-    except (TypeError, ValueError):  # strings, None, arrays
-        sigma_ok = False
-    if not sigma_ok:
+    sigma = _real(noise_sigma)
+    if sigma is None or not 0 <= sigma < np.inf:
         raise ValidationError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     seed = _require_int_in_range(seed, "seed", 0, None)
     ids = _validated_ids(readouts)
     values = _ROWS[np.array(ids) - 1] @ x
-    if noise_sigma > 0:
-        values = values + np.random.default_rng(seed).normal(0.0, noise_sigma, size=values.shape)
+    if sigma > 0:
+        values = values + np.random.default_rng(seed).normal(0.0, sigma, size=values.shape)
     peaks = values.view(complex)  # one row per read-out: left, right
     return [Reading(rid, p, complex(v)) for rid, row in zip(ids, peaks) for p, v in zip(PEAKS, row)]

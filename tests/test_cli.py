@@ -172,6 +172,15 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     readings.write_text("1,left,nan,0\n1,right,0,0\n2,left,0,0\n2,right,0,0\n")
     code, _, err = run(capsys, "reconstruct", "--readings", readings, "--out", tmp_path / "out.txt")
     assert code == 2 and "line 1" in err
+    # a file that is not UTF-8 text, and an id written 1_0 (int() reads 10)
+    readings.write_text("1_0,left,1_0.5,0\n")
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+    for bad in (readings, binary):
+        code, _, err = run(capsys, "reconstruct", "--readings", bad, "--out", tmp_path / "out.txt")
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    code, _, err = run(capsys, "compare", "--a", binary, "--b", binary)
+    assert code == 2 and err.startswith(f"error: {binary}: not UTF-8 text")
     assert not (tmp_path / "out.txt").exists()
 
 

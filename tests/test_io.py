@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -48,11 +49,24 @@ def test_parse_readings_skips_comments_and_blanks():
         ("1,left,0,inf", "line 1: value is not finite"),
         ("1,left,-1e999,0", "line 1: value is not finite"),
         ("1,left,0", "expected"),
+        # int() and float() would read 1_0 as 10 and the Arabic-Indic digit as 3
+        ("1_0,left,1_0.5,0", "line 1: expected ASCII text without '_'"),
+        ("1,left,0,0_1", "line 1: expected ASCII text without '_'"),
+        ("\u0663,left,0,0", "line 1: expected ASCII text without '_'"),
+        ("1,left,\u0663,0", "line 1: expected ASCII text without '_'"),
     ],
 )
 def test_parse_readings_rejects_bad_lines(line, match):
     with pytest.raises(ValidationError, match=match):
         parse_readings(line + "\n")
+
+
+def test_readers_refuse_a_file_that_is_not_utf8_text(tmp_path):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"1,left,0.5,0\n\xff\xfe\x00\x81\n")
+    for read in (read_readings, read_density):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read(path)
 
 
 def test_parse_readings_reports_line_number():
@@ -149,6 +163,9 @@ def test_density_shape_and_literal_errors():
     overflow = "1e999+0i 0+0i 0+0i 0+0i\n" + "0+0i 1+0i 0+0i 0+0i\n" * 3
     with pytest.raises(ValidationError, match="line 1: .*not finite"):
         parse_density(overflow)
+    for token in ("\u0663+0i", "0+\u0663i", "0.\u0663+0i", "1_0+0i", "1+0_0i"):  # read as 3, 0.3 or 10
+        with pytest.raises(ValidationError, match="^line 1: unparseable complex literal"):
+            parse_density(token + " 0+0i 0+0i 0+0i\n" + "0+0i 1+0i 0+0i 0+0i\n" * 3)
 
 
 def test_density_format_examples():

@@ -293,9 +293,9 @@ def test_threshold_must_be_a_real_number():
                 call()
 
 
-# ``reconstruct`` and ``error_matrix_analysis`` share one decomposition,
-# ``lsq._decompose``: the product-operator basis for every built design,
-# ``sym_eigen`` for anything else.
+# ``reconstruct`` and ``error_matrix_analysis`` share one analysis step: the
+# product-operator basis for every built design, ``sym_eigen`` for anything
+# else, the projection of the normal rhs and the threshold cut.
 
 
 def _reference_solve(design, threshold=DEFAULT_THRESHOLD, prior=None):
@@ -433,7 +433,8 @@ def test_row_scaled_design_takes_the_general_eigensolver(monkeypatch, rng):
 def test_callers_cannot_reach_the_pauli_basis():
     basis = _PAULI_BASIS.copy()
     d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
-    first = reconstruct(d)
+    prior = maximally_mixed_params()  # the default, passed by the caller
+    first = reconstruct(d, prior=prior)
     expected = (first.params.copy(), first.chi2, [(lam, c.copy()) for lam, c in first.truncated_directions])
     report = error_matrix_analysis(normal_system(d))
     combos = report.combinations.copy()
@@ -441,7 +442,9 @@ def test_callers_cannot_reach_the_pauli_basis():
     first.truncated_directions[0][1][:] = 7.0
     first.prior_used[:] = 7.0
     report.combinations[0] = 7.0
+    np.testing.assert_array_equal(prior, maximally_mixed_params())
     _assert_same_bytes(reconstruct(d), expected)
+    _assert_same_bytes(reconstruct(d, prior=prior), expected)
     np.testing.assert_array_equal(error_matrix_analysis(normal_system(d)).combinations, combos)
     assert _PAULI_BASIS.tobytes() == basis.tobytes() and not _PAULI_BASIS.flags.writeable
 
