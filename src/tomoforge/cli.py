@@ -6,7 +6,8 @@ cannot be read or written, 1 numerical failure. A reader that closes
 standard output early (``tomoforge enumerate --size 6 | head -1``) ends
 the command quietly: nothing on stderr, exit 0. The TOMOFORGE_THRESHOLD
 environment variable overrides the default truncation threshold; an
-explicit --threshold flag wins over it.
+explicit --threshold flag wins over it. Number flags, read-out ids and
+TOMOFORGE_THRESHOLD take ASCII numbers without '_', as the files do.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io as tomoio
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _ascii_text
 from .lsq import (
     DEFAULT_THRESHOLD,
     error_matrix_analysis,
@@ -44,11 +45,17 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _number(kind):
+    """An argparse type: ``kind`` (int or float) of ASCII text without '_',
+    named like ``kind`` so argparse reports "invalid int value: '0_5'"."""
+    return functools.wraps(kind)(lambda text: kind(_ascii_text(text)))
+
+
 def _parse_readout_ids(arg: str) -> list:
     if arg.strip().lower() == "all":
         return list(range(1, N_READOUTS + 1))
     try:
-        ids = [int(tok) for tok in arg.split(",") if tok.strip()]
+        ids = [int(_ascii_text(tok)) for tok in arg.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"could not parse read-out ids from {arg!r}") from None
     if not ids:
@@ -62,7 +69,7 @@ def _resolve_threshold(flag_value) -> float:
     elif os.environ.get(_ENV_THRESHOLD):
         raw = os.environ[_ENV_THRESHOLD]
         try:
-            value = float(raw)
+            value = float(_ascii_text(raw))
         except ValueError:
             raise ValidationError(f"{_ENV_THRESHOLD}={raw!r} is not a number") from None
     else:
@@ -196,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="rank and conditioning report of a read-out set")
     p.add_argument("--readouts", required=True, help="comma-separated ids, or 'all'")
     p.add_argument("--no-trace", action="store_true", help="omit the trace normalization row")
-    p.add_argument("--threshold", type=float, default=None, help=f"truncation threshold (default {DEFAULT_THRESHOLD})")
+    p.add_argument("--threshold", type=_number(float), default=None, help=f"truncation threshold (default {DEFAULT_THRESHOLD})")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="exhaustively list full-rank read-out sets of a size")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number(int), required=True)
     p.add_argument("--rank-by-conditioning", action="store_true", help="sort by descending smallest eigenvalue")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_enumerate)
@@ -209,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate peak readings from a density file")
     p.add_argument("--density", required=True)
     p.add_argument("--readouts", required=True, help="comma-separated ids, or 'all'")
-    p.add_argument("--noise", type=float, default=0.0, help="Gaussian noise sigma per real/imag part")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_number(float), default=0.0, help="Gaussian noise sigma per real/imag part")
+    p.add_argument("--seed", type=_number(int), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="reconstruct a density matrix from a readings file")
     p.add_argument("--readings", required=True)
-    p.add_argument("--threshold", type=float, default=None, help=f"truncation threshold (default {DEFAULT_THRESHOLD})")
+    p.add_argument("--threshold", type=_number(float), default=None, help=f"truncation threshold (default {DEFAULT_THRESHOLD})")
     p.add_argument("--prior", default="mixed", help="'mixed' or a density file for ill-determined combinations")
     p.add_argument("--psd-project", action="store_true", help="clip negative eigenvalues of the result")
     p.add_argument("--out", required=True)

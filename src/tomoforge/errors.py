@@ -1,6 +1,7 @@
 """Exception types shared across the package, ``_finite_array``, the rule
-every public function applies to each array argument, and ``_real``, the
-rule for each scalar real-number argument.
+every public function applies to each array argument, ``_real``, the rule
+for each scalar real-number argument, and ``_ascii_text``, the rule for text
+that holds numbers (file records, CLI flags, the environment).
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
@@ -45,6 +46,14 @@ def _finite_array(value, shape: tuple, what: str, dtype=None) -> np.ndarray:
     if not finite:
         raise ValidationError(f"{what} has non-finite entries")
     return a
+
+
+def _ascii_text(text: str, where: str = "") -> str:
+    """``text`` if it is ASCII without '_' (int() and float() also read 1_0
+    and non-ASCII digits); ValidationError, prefixed with ``where``, otherwise."""
+    if "_" in text or not text.isascii():
+        raise ValidationError(f"{where}expected ASCII text without '_', got {text!r}")
+    return text
 
 
 def _real(value):

@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array
+from .errors import ValidationError, _ascii_text, _finite_array
 from .model import Reading, _add_reading, _hermiticity_defect
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -59,8 +59,7 @@ def parse_readings(text: str) -> list:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "_" in line or not line.isascii():  # int() and float() take 1_0 and non-ASCII digits
-            raise ValidationError(f"line {lineno}: expected ASCII text without '_', got {raw!r}")
+        _ascii_text(line, f"line {lineno}: ")
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             raise ValidationError(

@@ -3,29 +3,26 @@
 A set of read-outs determines all 16 parameters iff its design system
 (with the trace row) has rank 16. The 16 two-spin product operators
 (``model.PAULI_LABELS``) diagonalise every read-out's share of the normal
-matrix and the trace row's, so a set's spectrum is the sum of its rows of
-the 18x16 table ``model._PAULI_WEIGHTS`` and the trace weights. Every entry
-is an exact sum of halves: no eigensolve is run, and the rank is the count
-of nonzero eigenvalues. Sets are scored in batches, one matrix product
-each; the tests check the ranks against the singular-value
-``linalg.matrix_rank``. These helpers check single sets, find the smallest
-workable size, exhaustively enumerate all full-rank sets of a given size,
-and rank sets by how well-conditioned their normal matrix is.
+matrix and the trace row's, so a set's spectrum is the trace weights plus
+its rows of the 18x16 table ``model._PAULI_WEIGHTS``: exact sums of halves,
+with no eigensolve. Rank is set cover: a read-out observes 4 of the 15
+non-identity product operators and the trace row the identity, and a set's
+rank is the number of product operators it covers (full rank: all 16).
+A set is an 18-bit mask, bit 18 - r for read-out r, so descending masks of
+one size are in lexicographic order. Each search tabulates the cover of all
+2^18 masks in one pass and scores only the full-rank sets; the tests check
+the ranks against the singular-value ``linalg.matrix_rank``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import N_PARAMS, N_READOUTS, _PAULI_WEIGHTS, _TRACE_WEIGHTS, _require_int_in_range, _validated_ids
 
-# Subsets scored per matrix product; larger batches raise peak memory and
-# measured no faster. The sums are exact, so a set's spectrum does not
-# depend on its batch.
-_BATCH = 256
+_FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
 
 
 @dataclass(frozen=True)
@@ -39,41 +36,53 @@ class SetReport:
     eigenvalues: np.ndarray
 
 
-def _spectra(sets):
-    """Descending normal-matrix spectra of equal-size id sets, and their ranks:
-    each spectrum is the sum of the sets' rows of the weight table and the
-    trace weights. Entries are sums of halves, so they are exact and the rank
-    is the count of nonzero ones."""
-    k = len(sets[0])
-    ids = np.fromiter(itertools.chain.from_iterable(sets), np.intp, len(sets) * k).reshape(-1, k)
-    chosen = np.zeros((len(ids), N_READOUTS))
-    np.put_along_axis(chosen, ids - 1, 1.0, axis=1)
-    eig = chosen @ _PAULI_WEIGHTS + _TRACE_WEIGHTS
+def _tables():
+    """Cover and size of every 18-bit mask: the product operators the set and
+    the trace row observe (bit P for column P of the weight table) and the
+    number of read-outs. Built by doubling, adding read-out 18 - b to the
+    masks below 1 << b."""
+    observed = np.vstack([_PAULI_WEIGHTS, _TRACE_WEIGHTS]) != 0
+    # Python ints, so each OR stays in uint16 (an int64 operand would not)
+    *readouts, trace = (observed @ (1 << np.arange(N_PARAMS))).tolist()
+    cover = np.empty(1 << N_READOUTS, np.uint16)
+    sizes = np.empty(1 << N_READOUTS, np.uint8)
+    cover[0], sizes[0] = trace, 0
+    for b in range(N_READOUTS):
+        n = 1 << b
+        np.bitwise_or(cover[:n], readouts[N_READOUTS - 1 - b], out=cover[n:2 * n])
+        np.add(sizes[:n], 1, out=sizes[n:2 * n])
+    return cover, sizes
+
+
+def _spectra(ids):
+    """Descending normal-matrix spectra of equal-size id sets (n, k): the
+    trace weights plus each set's rows of the weight table, added one id
+    column at a time so that no (n, 18) 0/1 matrix is held."""
+    eig = np.tile(_TRACE_WEIGHTS, (len(ids), 1))
+    for column in ids.T:
+        eig += _PAULI_WEIGHTS[column - 1]
     eig.sort(axis=1)
-    eig = eig[:, ::-1]
-    return eig, np.count_nonzero(eig, axis=1)
+    return eig[:, ::-1]
 
 
 def set_report(readouts) -> SetReport:
     ids = tuple(_validated_ids(readouts))
-    eig, rank = _spectra([ids])
-    return SetReport(ids, int(rank[0]), bool(rank[0] == N_PARAMS), float(eig[0, -1]), eig[0])
-
-
-def _batches(k):
-    """Each batch of ``_BATCH`` k-read-out sets in lexicographic order, with
-    their descending spectra and a mask of the full-rank ones."""
-    combos = itertools.combinations(range(1, N_READOUTS + 1), k)
-    while batch := list(itertools.islice(combos, _BATCH)):
-        eig, rank = _spectra(batch)
-        yield batch, eig, rank == N_PARAMS
+    eig = _spectra(np.array([ids]))[0]
+    # an entry is nonzero iff the set or the trace row covers its operator
+    rank = int(np.count_nonzero(eig))
+    return SetReport(ids, rank, rank == N_PARAMS, float(eig[-1]), eig)
 
 
 def minimum_readout_count() -> int:
-    """Smallest k for which some k-read-out set has a full-rank design.
+    """Smallest k for which some k-read-out set has a full-rank design."""
+    cover, sizes = _tables()
+    return int(sizes[cover == _FULL_COVER].min())
 
-    Stops at the first batch that holds a full-rank set."""
-    return next(k for k in range(1, N_READOUTS + 1) if any(full.any() for _, _, full in _batches(k)))
+
+def _ids(masks, k):
+    """Ids (n, k) of k-read-out masks, each row ascending."""
+    bits = 1 << np.arange(N_READOUTS - 1, -1, -1)  # read-out 1 first
+    return np.nonzero(masks[:, None] & bits)[1].reshape(-1, k) + 1
 
 
 def enumerate_minimal_sets(size: int) -> list:
@@ -82,12 +91,13 @@ def enumerate_minimal_sets(size: int) -> list:
     Tests every one of the C(18, size) subsets; deterministic.
     """
     k = _require_int_in_range(size, "set size")
-    return [
-        SetReport(ids, N_PARAMS, True, float(e[-1]), e)
-        for batch, eig, full in _batches(k)
-        # eig[full] copies only the hits, so no report holds a whole batch
-        for ids, e in zip(itertools.compress(batch, full), eig[full])
-    ]
+    cover, sizes = _tables()
+    ids = _ids(np.flatnonzero((cover == _FULL_COVER) & (sizes == k))[::-1], k)
+    del cover, sizes  # freed before the spectra and the reports are built
+    eig = _spectra(ids)
+    # zipping the id columns makes each set's tuple without a list per set
+    reports = zip(zip(*ids.T.tolist()), eig[:, -1].tolist(), eig)
+    return [SetReport(i, N_PARAMS, True, lam, e) for i, lam, e in reports]
 
 
 def rank_sets_by_conditioning(reports) -> list:

@@ -141,7 +141,7 @@ def test_reconstruct_with_psd_projection(capsys, tmp_path):
     assert w.min() > -1e-10
 
 
-def test_exit_code_2_on_bad_input(capsys, tmp_path):
+def test_exit_code_2_on_bad_input(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "analyze", "--readouts", "1,99")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "compare", "--a", tmp_path / "missing.txt", "--b", tmp_path / "missing.txt")
@@ -182,6 +182,21 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "compare", "--a", binary, "--b", binary)
     assert code == 2 and err.startswith(f"error: {binary}: not UTF-8 text")
     assert not (tmp_path / "out.txt").exists()
+    # number flags, ids and TOMOFORGE_THRESHOLD refuse 1_0 and non-ASCII digits too
+    for argv in (("enumerate", "--size", "0_5"), ("enumerate", "--size", "\u0665"),
+                 ("analyze", "--readouts", "all", "--threshold", "1_0"),
+                 ("simulate", "--density", dens, "--readouts", "1,2", "--seed", "1_0", "--out", tmp_path / "s.csv"),
+                 ("simulate", "--density", dens, "--readouts", "1,2", "--noise", "0_1", "--out", tmp_path / "s.csv")):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage:") and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+    code, _, err = run(capsys, "analyze", "--readouts", "1_0,\u0663,1,2,6,12,13")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    monkeypatch.setenv("TOMOFORGE_THRESHOLD", "0_1")
+    code, _, err = run(capsys, "analyze", "--readouts", "all")
+    assert code == 2 and err.startswith("error: TOMOFORGE_THRESHOLD='0_1'")
 
 
 def test_exit_code_2_on_unknown_flag():

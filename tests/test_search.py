@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from tomoforge import (
     rank_sets_by_conditioning,
     set_report,
 )
-from tomoforge import search
 from tomoforge.model import (
     PAULI_LABELS,
     _PAULI_BASIS,
@@ -25,7 +23,7 @@ from tomoforge.model import (
     _TRACE_WEIGHTS,
     matrix_to_params,
 )
-from tomoforge.search import _BATCH, _spectra
+from tomoforge.search import _ids, _spectra, _tables
 
 import goldens
 from conftest import random_hermitian
@@ -38,6 +36,15 @@ SQUARED_NORMS = np.array([4.0 if set(label) <= set("IZ") else 8.0 for label in P
 NORMS = np.sqrt(SQUARED_NORMS)
 # U scaled to integer entries (0, +-1, +-2): products with it are exact.
 INTEGER_BASIS = np.round(_PAULI_BASIS * NORMS)
+
+
+def masks_of(sets):
+    """The 18-bit mask of each id set: bit 18 - r for read-out r."""
+    return np.array([sum(1 << (18 - r) for r in ids) for ids in sets])
+
+
+def popcount(values):
+    return np.array([v.bit_count() for v in values.tolist()])
 
 
 def test_set_report_first_golden_entry():
@@ -74,27 +81,19 @@ def test_minimum_readout_count_is_five():
     assert minimum_readout_count() == 5
 
 
-def test_minimum_readout_count_stops_at_first_full_rank_batch(monkeypatch):
-    # every set of sizes 1..4, then the size-5 batches up to and including
-    # the one holding the lexicographically first full-rank five-set
-    calls = []
-    monkeypatch.setattr(search, "_spectra", lambda sets: calls.append(len(sets)) or _spectra(sets))
-    assert minimum_readout_count() == 5
-    first = list(itertools.combinations(range(1, 19), 5)).index(goldens.MINIMAL_SETS_5[0])
-    smaller = [math.ceil(math.comb(18, k) / _BATCH) for k in range(1, 5)]
-    assert len(calls) == sum(smaller) + first // _BATCH + 1
-    assert sum(calls) == sum(math.comb(18, k) for k in range(1, 5)) + (first // _BATCH + 1) * _BATCH
-
-
 def test_enumerate_size_four_is_empty():
     assert enumerate_minimal_sets(4) == []
 
 
 def test_enumerate_size_five_matches_golden_table():
-    found = [r.ids for r in enumerate_minimal_sets(5)]
+    reports = enumerate_minimal_sets(5)
+    found = [r.ids for r in reports]
     assert found == sorted(found)  # lexicographic
     assert set(found) == set(goldens.MINIMAL_SETS_5)
     assert len(found) == 72
+    # a set's spectrum is the same scored alone as among its size
+    for r in reports:
+        np.testing.assert_array_equal(set_report(r.ids).eigenvalues, r.eigenvalues)
 
 
 def test_enumerate_edge_sizes():
@@ -159,26 +158,36 @@ def test_rank_sets_by_conditioning():
 
 
 def _all_spectra():
-    """(sets, descending spectra, ranks) in batches over all 2^18 - 1 read-out sets."""
+    """(masks, descending spectra, ranks) size by size over every mask
+    1..2^18 - 1, the rank the count of product operators the set covers."""
+    cover, sizes = _tables()
     for k in range(1, 19):
-        combos = itertools.combinations(range(1, 19), k)
-        while batch := list(itertools.islice(combos, 4096)):
-            yield (batch, *_spectra(batch))
+        masks = np.flatnonzero(sizes == k)
+        yield masks, _spectra(_ids(masks, k)), popcount(cover[masks])
+
+
+def test_descending_masks_decode_to_lexicographic_order():
+    _, sizes = _tables()
+    for k in range(1, 19):
+        ids = _ids(np.flatnonzero(sizes == k)[::-1], k)
+        assert ids.tolist() == [list(c) for c in itertools.combinations(range(1, 19), k)], k
 
 
 def test_rank_rests_on_a_wide_eigenvalue_gap():
     # Every eigenvalue of every set's normal matrix is a sum of halves: exactly
     # 0, or at least 0.5, and lambda_max <= 6. Rank-deficient sets report
-    # exactly 0.0, never a negative eigenvalue of a PSD matrix.
+    # exactly 0.0, never a negative eigenvalue of a PSD matrix. The set-cover
+    # rank is the count of nonzero eigenvalues on every mask.
     n_sets = 0
-    for batch, eig, rank in _all_spectra():
+    for masks, eig, rank in _all_spectra():
+        np.testing.assert_array_equal(rank, np.count_nonzero(eig, axis=1))
         assert eig[:, 0].max() <= 6
-        assert np.all(eig >= 0), batch[0]
+        assert np.all(eig >= 0), masks[0]
         np.testing.assert_array_equal(2 * eig, np.round(2 * eig))
         np.testing.assert_array_equal(rank, np.count_nonzero(eig >= 0.5, axis=1))
         deficient = eig[rank < 16, -1]
-        assert np.all(deficient == 0) and not np.signbit(deficient).any(), batch[0]
-        n_sets += len(batch)
+        assert np.all(deficient == 0) and not np.signbit(deficient).any(), masks[0]
+        n_sets += len(masks)
     assert n_sets == 2**18 - 1
     report = set_report([1, 2])
     assert report.rank < 16 and repr(report.min_eigenvalue) == "0.0"
@@ -188,9 +197,10 @@ def test_batched_rank_matches_svd_rank(rng):
     def svd_rank(ids):
         return matrix_rank(assemble_design(ids).matrix)
 
+    cover, _ = _tables()
     for k in (4, 5):
         sets = list(itertools.combinations(range(1, 19), k))
-        _, rank = _spectra(sets)
+        rank = popcount(cover[masks_of(sets)])
         assert rank.tolist() == [svd_rank(ids) for ids in sets]
     others = [k for k in range(1, 19) if k not in (4, 5)]
     for _ in range(2000):
@@ -246,7 +256,7 @@ def test_table_normal_matrix_matches_design():
             w = _PAULI_WEIGHTS[np.array(ids) - 1].sum(axis=0) + _TRACE_WEIGHTS
             rebuilt = INTEGER_BASIS @ np.diag(w / SQUARED_NORMS) @ INTEGER_BASIS.T
             np.testing.assert_array_equal(rebuilt, normal_system(assemble_design(ids)).matrix)
-            np.testing.assert_array_equal(np.sort(w)[::-1], _spectra([ids])[0][0])
+            np.testing.assert_array_equal(np.sort(w)[::-1], _spectra(np.array([ids]))[0])
 
 
 def _margin_batches(rng):
@@ -267,7 +277,7 @@ def test_rank_margin_without_trace_row(rng):
     # --no-trace`` prints reads the exact spectrum and its rank to match.
     n_sets = 0
     for sets in _margin_batches(rng):
-        with_trace, _ = _spectra(sets)
+        with_trace = _spectra(np.array(sets))
         designs = [assemble_design(ids, include_trace=False) for ids in sets]
         table = np.array([error_matrix_analysis(normal_system(d)).eigenvalues for d in designs])
         table_rank = np.count_nonzero(table, axis=1)
@@ -286,20 +296,9 @@ def test_rank_margin_without_trace_row(rng):
 
 def test_table_spectra_match_full_eigensolve(rng):
     for sets in (*_margin_batches(rng), [tuple(range(1, 19))]):
-        eig, _ = _spectra(sets)
+        eig = _spectra(np.array(sets))
         full = np.linalg.eigvalsh([normal_system(assemble_design(ids)).matrix for ids in sets])
         np.testing.assert_allclose(eig, full[:, ::-1], rtol=0, atol=1e-12)
-
-
-def test_spectra_do_not_depend_on_the_batch():
-    # the sums are exact, so a set's spectrum is bit-equal in any batch
-    sets = list(itertools.combinations(range(1, 19), 5))
-    eig, rank = _spectra(sets)
-    pieces = [_spectra(sets[i:i + 7]) for i in range(0, len(sets), 7)]
-    np.testing.assert_array_equal(eig, np.concatenate([e for e, _ in pieces]))
-    np.testing.assert_array_equal(rank, np.concatenate([r for _, r in pieces]))
-    for ids, e in zip(sets[::97], eig[::97]):
-        np.testing.assert_array_equal(set_report(ids).eigenvalues, e)
 
 
 def test_ranking_does_not_depend_on_input_order(rng):
