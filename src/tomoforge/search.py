@@ -27,13 +27,27 @@ _FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
 
 @dataclass(frozen=True)
 class SetReport:
-    """Rank and conditioning summary of one read-out set (trace row included)."""
+    """Rank and conditioning summary of one read-out set (trace row included).
+
+    Stores only the ascending ids and the descending normal-matrix spectrum.
+    The rest is read off the spectrum: ``rank`` is the count of nonzero
+    eigenvalues, ``min_eigenvalue`` the last one, and ``full_rank`` is true
+    iff that last one is nonzero (every entry is exactly 0 or at least 1/2).
+    """
 
     ids: tuple
-    rank: int
-    full_rank: bool
-    min_eigenvalue: float
     eigenvalues: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        # an entry is nonzero iff the set or the trace row covers its operator
+        return int(np.count_nonzero(self.eigenvalues))
+    @property
+    def full_rank(self) -> bool:
+        return bool(self.eigenvalues[-1])
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[-1])
 
 
 def _tables():
@@ -66,11 +80,11 @@ def _spectra(ids):
 
 
 def set_report(readouts) -> SetReport:
+    """Report of one read-out set: distinct ids 1..18 in any order, from any
+    iterable (read once), else ``ValidationError``. The ids are stored
+    ascending."""
     ids = tuple(_validated_ids(readouts))
-    eig = _spectra(np.array([ids]))[0]
-    # an entry is nonzero iff the set or the trace row covers its operator
-    rank = int(np.count_nonzero(eig))
-    return SetReport(ids, rank, rank == N_PARAMS, float(eig[-1]), eig)
+    return SetReport(ids, _spectra(np.array([ids]))[0])
 
 
 def minimum_readout_count() -> int:
@@ -96,8 +110,7 @@ def enumerate_minimal_sets(size: int) -> list:
     del cover, sizes  # freed before the spectra and the reports are built
     eig = _spectra(ids)
     # zipping the id columns makes each set's tuple without a list per set
-    reports = zip(zip(*ids.T.tolist()), eig[:, -1].tolist(), eig)
-    return [SetReport(i, N_PARAMS, True, lam, e) for i, lam, e in reports]
+    return [SetReport(i, e) for i, e in zip(zip(*ids.T.tolist()), eig)]
 
 
 def rank_sets_by_conditioning(reports) -> list:

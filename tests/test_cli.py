@@ -373,3 +373,27 @@ def test_simulate_rejects_line_break_in_source(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2", "--out", readings)
     assert code == 2 and "line break" in err
     assert not readings.exists()
+
+
+def test_density_warning_band_is_refused_by_simulate_and_prior(capsys, tmp_path, readings_file):
+    # The density parser accepts a Hermiticity defect up to 1e-2 and warns
+    # above 1e-6; simulate --density and reconstruct --prior then pass the
+    # matrix to matrix_to_params, which refuses a defect above 1e-9. Only
+    # compare uses the parser's bands.
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 1e-5j  # (1,2) entry, its (2,1) partner left 0: defect 1e-5
+    dens = tmp_path / "near.txt"
+    write_density(dens, rho)
+    with pytest.warns(UserWarning, match="approximately Hermitian"):
+        code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2",
+                           "--out", tmp_path / "near.csv")
+    assert code == 2 and "not Hermitian" in err and "1.0e-09" in err
+    assert not (tmp_path / "near.csv").exists()
+    with pytest.warns(UserWarning, match="approximately Hermitian"):
+        code, _, err = run(capsys, "reconstruct", "--readings", readings_file, "--prior", dens,
+                           "--out", tmp_path / "o.txt")
+    assert code == 2 and "not Hermitian" in err
+    assert not (tmp_path / "o.txt").exists()
+    with pytest.warns(UserWarning, match="approximately Hermitian"):
+        code, out, _ = run(capsys, "compare", "--a", dens, "--b", dens)
+    assert code == 0 and out.startswith("delta = 0 ")

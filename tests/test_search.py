@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,7 +24,7 @@ from tomoforge.model import (
     _TRACE_WEIGHTS,
     matrix_to_params,
 )
-from tomoforge.search import _ids, _spectra, _tables
+from tomoforge.search import SetReport, _ids, _spectra, _tables
 
 import goldens
 from conftest import random_hermitian
@@ -47,6 +48,17 @@ def popcount(values):
     return np.array([v.bit_count() for v in values.tolist()])
 
 
+def assert_read_off_spectrum(report):
+    """The derived fields are plain Python values read off the stored
+    spectrum (a np.float64 would change their repr)."""
+    assert type(report.rank) is int
+    assert type(report.full_rank) is bool
+    assert type(report.min_eigenvalue) is float
+    assert report.rank == np.count_nonzero(report.eigenvalues)
+    assert report.full_rank == (report.rank == 16)
+    assert report.min_eigenvalue == report.eigenvalues[-1]
+
+
 def test_set_report_first_golden_entry():
     first = goldens.MINIMAL_SETS_5[0]
     # a one-shot iterator must be read once, for both the spectrum and ids
@@ -56,6 +68,8 @@ def test_set_report_first_golden_entry():
         assert report.rank == 16
         assert report.full_rank
         assert report.min_eigenvalue > 1e-10
+        assert_read_off_spectrum(report)
+    assert [f.name for f in dataclasses.fields(SetReport)] == ["ids", "eigenvalues"]
 
 
 def test_set_report_full_set():
@@ -69,6 +83,15 @@ def test_set_report_four_readouts_not_full_rank():
     report = set_report([1, 2, 3, 4])
     assert not report.full_rank
     assert report.rank < 16
+    assert_read_off_spectrum(report)
+    assert repr((report.rank, report.full_rank, report.min_eigenvalue)) == "(11, False, 0.0)"
+
+
+def test_enumerated_reports_read_off_their_spectra():
+    for k in (5, 6, 7):
+        for report in enumerate_minimal_sets(k):
+            assert report.full_rank
+            assert_read_off_spectrum(report)
 
 
 def test_set_report_rejects_bad_ids():
@@ -132,12 +155,32 @@ def test_superset_monotonicity(rng):
 
 
 def test_mirror_symmetry_of_minimal_sets():
-    # swapping the acquired spin maps id t to t+9 (mod 18); the count of
-    # full-rank 5-sets containing an id must match its mirror's count
+    # t <-> t+9 swaps only the acquired spin, not the rotation, so it is not
+    # the mirror; still, the count of full-rank 5-sets containing an id must
+    # match the count for t+9 (mod 18)
     found = [r.ids for r in enumerate_minimal_sets(5)]
     counts = {t: sum(t in ids for ids in found) for t in range(1, 19)}
     for t in range(1, 10):
         assert counts[t] == counts[t + 9], (t, counts[t], counts[t + 9])
+    # Swapping the two spins maps the read-out that applies rotation ab and
+    # acquires H to the one that applies ba and acquires P: mirror[r - 1] for
+    # id r. This exact mirror is an involution that reverses the product-
+    # operator labels (XY <-> YX): each read-out's row of the weight table, so
+    # relabelled, is its mirror's row, and the trace weights are fixed.
+    mirror = [10, 13, 16, 11, 14, 17, 12, 15, 18, 1, 4, 7, 2, 5, 8, 3, 6, 9]
+    assert [mirror[m - 1] for m in mirror] == list(range(1, 19))
+    swap = [PAULI_LABELS.index(label[::-1]) for label in PAULI_LABELS]
+    for r, m in enumerate(mirror, start=1):
+        np.testing.assert_array_equal(_PAULI_WEIGHTS[r - 1][swap], _PAULI_WEIGHTS[m - 1], err_msg=str(r))
+    np.testing.assert_array_equal(_TRACE_WEIGHTS[swap], _TRACE_WEIGHTS)
+    # so the mirror image of every full-rank set is full rank, with a
+    # bit-equal spectrum
+    for k in (5, 6, 7):
+        reports = {r.ids: r for r in enumerate_minimal_sets(k)}
+        for ids, report in reports.items():
+            image = tuple(sorted(mirror[i - 1] for i in ids))
+            assert image in reports, (ids, image)
+            assert reports[image].eigenvalues.tobytes() == report.eigenvalues.tobytes(), ids
 
 
 def test_rank_sets_by_conditioning():
