@@ -11,10 +11,10 @@ bit-exact. The writers format the whole text before opening the file, so a
 rejected value leaves an existing file as it was.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
-``a-bi``. Parsing checks Hermiticity: silent up to ``HERMITICITY_WARN_TOL``,
-a warning up to ``HERMITICITY_ERROR_TOL``, an error above that. The writer
-refuses what the parser refuses, so every file it writes parses back
-bit-exactly.
+``a-bi``. The parser and the writer refuse a matrix whose Hermiticity
+defect exceeds ``model.HERMITICITY_TOL``, the cut ``matrix_to_params``
+applies, so every file the writer produces parses back bit-exactly and
+every matrix the parser returns converts to parameters.
 
 Both readers take UTF-8 text; any other file is a ValidationError.
 """
@@ -23,19 +23,15 @@ from __future__ import annotations
 
 import cmath
 import re
-import warnings
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ValidationError, _ascii_text, _finite_array
-from .model import Reading, _add_reading, _hermiticity_defect
+from .model import Reading, _add_reading, _require_hermitian
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i", re.ASCII)  # \d: 0-9 only
-
-HERMITICITY_WARN_TOL = 1e-6
-HERMITICITY_ERROR_TOL = 1e-2
 
 
 def _read_text(path) -> str:
@@ -116,7 +112,8 @@ def _parse_complex(token: str, lineno: int):
 
 
 def parse_density(text: str) -> np.ndarray:
-    """Parse a 4x4 complex matrix and check it is (close to) Hermitian."""
+    """Parse a 4x4 complex matrix and check it is Hermitian within
+    ``model.HERMITICITY_TOL``."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,12 +126,7 @@ def parse_density(text: str) -> np.ndarray:
     if len(rows) != 4:
         raise ValidationError(f"expected 4 matrix rows, got {len(rows)}")
     m = np.array(rows, dtype=complex)
-    dev = _hermiticity_defect(m, HERMITICITY_ERROR_TOL)
-    if dev > HERMITICITY_WARN_TOL:
-        warnings.warn(
-            f"density matrix is only approximately Hermitian (deviation {dev:.3e})",
-            stacklevel=2,
-        )
+    _require_hermitian(m)
     return m
 
 
@@ -148,9 +140,9 @@ def _format_complex(value: complex) -> str:
 
 def format_density(matrix) -> str:
     """Density file text; rejects every matrix ``parse_density`` rejects (a
-    non-finite entry, a Hermiticity defect above ``HERMITICITY_ERROR_TOL``)."""
+    non-finite entry, a Hermiticity defect above ``model.HERMITICITY_TOL``)."""
     m = _finite_array(matrix, (4, 4), "matrix", complex)
-    _hermiticity_defect(m, HERMITICITY_ERROR_TOL)
+    _require_hermitian(m)
     return "\n".join(" ".join(_format_complex(v) for v in row) for row in m) + "\n"
 
 

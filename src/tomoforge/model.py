@@ -34,7 +34,7 @@ N_READOUTS = 18
 N_PARAMS = 16
 PEAKS = ("left", "right")
 TRACE_LABEL = "trace"
-HERMITICITY_TOL = 1e-9  # largest |m - m^H| entry matrix_to_params accepts
+HERMITICITY_TOL = 1e-9  # largest |m - m^H| entry of any density matrix read, written or converted
 TRACE_TOL = 1e-9  # largest |trace - 1| is_trace_normalized accepts
 
 # x1..x10 are the upper triangle (diagonal included) in row-major order,
@@ -122,32 +122,33 @@ def params_to_matrix(params) -> np.ndarray:
     return m
 
 
-def _hermiticity_defect(m: np.ndarray, tol: float) -> float:
-    """Largest entry of |m - m^H|; above ``tol``, a ValidationError naming the pair.
+def _require_hermitian(m: np.ndarray) -> None:
+    """ValidationError naming the worst element pair unless every entry of
+    |m - m^H| is at most ``HERMITICITY_TOL``.
 
     An entry that overflows is inf, so it is rejected without a warning."""
     with np.errstate(over="ignore"):
         dev = np.abs(m - m.conj().T)
     k = int(dev.argmax())
     worst = float(dev.ravel()[k])
-    if worst > tol:
+    if worst > HERMITICITY_TOL:
         i, j = np.unravel_index(k, dev.shape)
         raise ValidationError(
             f"matrix is not Hermitian: elements ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
-            f"differ by {worst:.3e} (tolerance {tol:.1e})"
+            f"differ by {worst:.3e} (tolerance {HERMITICITY_TOL:.1e})"
         )
-    return worst
 
 
 def matrix_to_params(matrix) -> np.ndarray:
     """Read the 16 real parameters off a Hermitian 4x4 matrix.
 
-    Exact inverse of params_to_matrix (the upper triangle and the diagonal
-    are copied verbatim). Rejects input whose Hermiticity defect exceeds
-    ``HERMITICITY_TOL``, naming the worst offending element pair.
+    Exact inverse of params_to_matrix: the upper triangle and the diagonal
+    are copied verbatim and the lower triangle is discarded, so input whose
+    Hermiticity defect exceeds ``HERMITICITY_TOL`` is rejected, naming the
+    worst element pair.
     """
     m = _finite_array(matrix, (4, 4), "matrix", complex)
-    _hermiticity_defect(m, HERMITICITY_TOL)
+    _require_hermitian(m)
     return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
 
 
@@ -342,12 +343,12 @@ def assemble_design(
 def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: int = 0) -> list:
     """Simulate the peak readings an acquisition of ``readouts`` would give.
 
-    ``rho`` must be Hermitian and of unit trace, within ``HERMITICITY_TOL``
-    and ``TRACE_TOL``. Gaussian noise of standard deviation ``noise_sigma``
-    (a real number, finite and >= 0) is added independently to the real and
-    imaginary part of every peak; the draw order is fixed (ascending id, left
-    before right, real before imaginary), so a seed, an integer >= 0, pins
-    the output.
+    ``rho`` must be Hermitian within ``HERMITICITY_TOL`` (the cut every
+    density file passes too) and of unit trace within ``TRACE_TOL``.
+    Gaussian noise of standard deviation ``noise_sigma`` (a real number,
+    finite and >= 0) is added independently to the real and imaginary part
+    of every peak; the draw order is fixed (ascending id, left before right,
+    real before imaginary), so a seed, an integer >= 0, pins the output.
     """
     x = matrix_to_params(rho)
     if not is_trace_normalized(x):

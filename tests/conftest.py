@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tomoforge.io import _format_complex
+
 
 @pytest.fixture
 def rng():
@@ -20,3 +22,9 @@ def random_trace_one_hermitian(rng):
     diag /= diag.sum()
     np.fill_diagonal(m, diag)
     return m
+
+
+def density_text(m):
+    """Density file text built entry by entry in the writer's format, for
+    matrices the writer itself refuses."""
+    return "".join(" ".join(_format_complex(v) for v in row) + "\n" for row in m)

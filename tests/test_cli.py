@@ -9,16 +9,22 @@ import pytest
 
 import tomoforge
 from tomoforge import (
+    ValidationError,
     assemble_design,
     enumerate_minimal_sets,
+    format_density,
     matrix_rank,
+    matrix_to_params,
+    parse_density,
     read_density,
     relative_error,
     write_density,
 )
 from tomoforge.cli import main
+from tomoforge.model import HERMITICITY_TOL
 
 import goldens
+from conftest import density_text
 
 
 @pytest.fixture
@@ -375,25 +381,59 @@ def test_simulate_rejects_line_break_in_source(capsys, tmp_path):
     assert not readings.exists()
 
 
-def test_density_warning_band_is_refused_by_simulate_and_prior(capsys, tmp_path, readings_file):
-    # The density parser accepts a Hermiticity defect up to 1e-2 and warns
-    # above 1e-6; simulate --density and reconstruct --prior then pass the
-    # matrix to matrix_to_params, which refuses a defect above 1e-9. Only
-    # compare uses the parser's bands.
+def _with_defect(defect):
+    """The maximally mixed state with ``defect`` i in entry (1,2) and 0 in
+    its (2,1) partner: a Hermiticity defect of exactly ``defect``."""
     rho = np.eye(4, dtype=complex) / 4
-    rho[0, 1] = 1e-5j  # (1,2) entry, its (2,1) partner left 0: defect 1e-5
-    dens = tmp_path / "near.txt"
-    write_density(dens, rho)
-    with pytest.warns(UserWarning, match="approximately Hermitian"):
-        code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2",
-                           "--out", tmp_path / "near.csv")
-    assert code == 2 and "not Hermitian" in err and "1.0e-09" in err
-    assert not (tmp_path / "near.csv").exists()
-    with pytest.warns(UserWarning, match="approximately Hermitian"):
-        code, _, err = run(capsys, "reconstruct", "--readings", readings_file, "--prior", dens,
-                           "--out", tmp_path / "o.txt")
-    assert code == 2 and "not Hermitian" in err
-    assert not (tmp_path / "o.txt").exists()
-    with pytest.warns(UserWarning, match="approximately Hermitian"):
-        code, out, _ = run(capsys, "compare", "--a", dens, "--b", dens)
-    assert code == 0 and out.startswith("delta = 0 ")
+    rho[0, 1] = defect * 1j
+    return rho
+
+
+def _density_commands(capsys, tmp_path, readings_file, rho):
+    """Run compare, simulate --density and reconstruct --prior on a file
+    holding ``rho``; each command's exit code, stderr and whether it left
+    its --out file."""
+    dens = tmp_path / "defect.txt"
+    dens.write_text(density_text(rho))
+    sim, rec = tmp_path / "defect.csv", tmp_path / "defect_rec.txt"
+    results = []
+    for argv, out in (
+        (("compare", "--a", dens, "--b", dens), None),
+        (("simulate", "--density", dens, "--readouts", "1,2", "--out", sim), sim),
+        (("reconstruct", "--readings", readings_file, "--prior", dens, "--out", rec), rec),
+    ):
+        code, _, err = run(capsys, *argv)
+        results.append((code, err, out is not None and out.exists()))
+    return results
+
+
+def _assert_refused_by_every_command(results):
+    for code, err, wrote in results:
+        assert code == 2 and not wrote
+        assert err.startswith("error: matrix is not Hermitian: elements (1,2) and (2,1)"), err
+        assert "Warning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_defect_above_the_cut_is_refused_by_every_command(capsys, tmp_path, readings_file):
+    rho = _with_defect(1e-5)
+    _assert_refused_by_every_command(_density_commands(capsys, tmp_path, readings_file, rho))
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_defect_at_the_cut_is_accepted_everywhere(capsys, tmp_path, readings_file):
+    rho = _with_defect(HERMITICITY_TOL)
+    assert parse_density(format_density(rho)).tobytes() == rho.tobytes()
+    matrix_to_params(rho)
+    results = _density_commands(capsys, tmp_path, readings_file, rho)
+    assert [(code, wrote) for code, _, wrote in results] == [(0, False), (0, True), (0, True)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_defect_just_above_the_cut_is_refused_everywhere(capsys, tmp_path, readings_file):
+    rho = _with_defect(np.nextafter(HERMITICITY_TOL, 1))
+    pair = r"not Hermitian: elements \(1,2\) and \(2,1\)"
+    for refuse, arg in ((format_density, rho), (parse_density, density_text(rho)), (matrix_to_params, rho)):
+        with pytest.raises(ValidationError, match=pair):
+            refuse(arg)
+    _assert_refused_by_every_command(_density_commands(capsys, tmp_path, readings_file, rho))

@@ -1,6 +1,5 @@
 import re
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +19,7 @@ from tomoforge import (
     write_density,
     write_readings,
 )
-from tomoforge.io import _format_complex
-from conftest import random_hermitian
+from conftest import density_text, random_hermitian
 
 import goldens
 
@@ -109,7 +107,7 @@ def test_failed_write_leaves_existing_file_unchanged(tmp_path):
         write_density(dens, nan_matrix)
     assert dens.read_bytes() == before
     with pytest.raises(ValidationError, match=r"not Hermitian: elements \(1,4\) and \(4,1\)"):
-        write_density(dens, goldens.RHO_SIX_READOUTS)  # 0.05 defect, above the 1e-2 band
+        write_density(dens, goldens.RHO_SIX_READOUTS)  # 0.05 defect, above the 1e-9 cut
     assert dens.read_bytes() == before
     path = tmp_path / "readings.csv"
     readings = simulate_readings(np.eye(4) / 4, [1, 2])
@@ -134,18 +132,20 @@ def test_density_parse_golden_predicted_state():
     np.testing.assert_array_equal(parse_density(text), goldens.RHO_PREDICTED)
 
 
-def test_density_hermiticity_warning_band():
+@pytest.mark.filterwarnings("error")
+def test_density_hermiticity_defect_above_the_cut_is_refused():
     m = goldens.RHO_PREDICTED.copy()
-    m[0, 1] += 5e-4  # deviation within (1e-6, 1e-2]: warn, don't fail
-    with pytest.warns(UserWarning, match="approximately Hermitian"):
-        parsed = parse_density(format_density(m))
-    np.testing.assert_array_equal(parsed, m)
+    m[0, 1] += 5e-4
+    pair = r"not Hermitian: elements \(1,2\) and \(2,1\) differ by 5\.000e-04 \(tolerance 1\.0e-09\)"
+    with pytest.raises(ValidationError, match=pair):
+        parse_density(density_text(m))
+    with pytest.raises(ValidationError, match=pair):
+        format_density(m)
 
 
 def test_density_hermiticity_error_above_band():
-    # 0.05 defect as transcribed; format_density refuses it, so the text is
-    # built entry by entry in the same format
-    text = "".join(" ".join(_format_complex(v) for v in row) + "\n" for row in goldens.RHO_SIX_READOUTS)
+    # 0.05 defect as transcribed, which format_density refuses
+    text = density_text(goldens.RHO_SIX_READOUTS)
     with pytest.raises(ValidationError, match="not Hermitian"):
         parse_density(text)
     with pytest.raises(ValidationError, match=r"elements \(1,4\) and \(4,1\) differ by 5\.000e-02"):
@@ -233,17 +233,18 @@ def test_format_readings_accepts_numbers_and_numpy_scalars():
 
 _ENTRIES = st.one_of(st.floats(), st.floats(-1, 1), st.just(0.0), st.just(-0.0))
 # Half the matrices are arbitrary, half Hermitian up to an entrywise defect
-# that straddles the writer's and parser's 1e-2 error band.
+# that straddles the writer's and parser's 1e-9 cut.
 _MATRICES = st.one_of(
     st.lists(st.builds(complex, _ENTRIES, _ENTRIES), min_size=16, max_size=16).map(
         lambda v: np.array(v).reshape(4, 4)),
     st.tuples(
         st.lists(st.floats(-10, 10), min_size=16, max_size=16),
-        st.lists(st.floats(-2e-2, 2e-2), min_size=16, max_size=16),
+        st.lists(st.floats(-2e-9, 2e-9), min_size=16, max_size=16),
     ).map(lambda pair: params_to_matrix(pair[0]) + np.array(pair[1]).reshape(4, 4)),
 )
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_MATRICES)
 def test_format_density_writes_only_what_parse_reads_back(m):
@@ -251,7 +252,5 @@ def test_format_density_writes_only_what_parse_reads_back(m):
         text = format_density(m)
     except ValidationError:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the warning band is not an error
-        parsed = parse_density(text)
+    parsed = parse_density(text)
     assert parsed.tobytes() == np.asarray(m, dtype=complex).tobytes()

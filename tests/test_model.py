@@ -27,7 +27,7 @@ from tomoforge import (
     set_report,
     simulate_readings,
 )
-from tomoforge.model import require_readout_id
+from tomoforge.model import PAULI_LABELS, _PAULI_WEIGHTS, require_readout_id
 from conftest import random_hermitian, random_trace_one_hermitian
 
 import goldens
@@ -199,6 +199,37 @@ def test_readout_rows_norm_bound():
         for row in rows:
             assert row @ row <= 2.0 + 1e-12
             assert np.any(row != 0.0)
+
+
+_SIGMA = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+# orthogonal mix of a read-out's rows (left re, left im, right re, right im):
+# left + right and left - right, real and imaginary parts kept apart
+_PEAK_MIX = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]]) / np.sqrt(2)
+
+
+def test_each_mixed_readout_row_reads_one_product_operator():
+    # Built without _ROWS: each read-out's rows come from apply_rotation of
+    # the parameter basis matrices, and the product-operator functionals
+    # x -> Tr(sigma_P rho(x)) from the Pauli matrices, normalised.
+    basis = [params_to_matrix(e) for e in np.eye(16)]
+    functionals = np.array(
+        [[np.trace(np.kron(_SIGMA[a], _SIGMA[b]) @ m).real for m in basis] for a, b in PAULI_LABELS]
+    ).T
+    u = functionals / np.linalg.norm(functionals, axis=0)
+    np.testing.assert_allclose(u.T @ u, np.eye(16), atol=1e-12)
+    for rid in range(1, 19):
+        rotated = [apply_rotation(m, readout_label(rid)) for m in basis]
+        rows = np.array(
+            [[part(m[i - 1, j - 1]) for m in rotated] for i, j in observable_positions(rid) for part in (np.real, np.imag)]
+        )
+        coeffs = _PEAK_MIX @ rows @ u
+        read = [np.flatnonzero(np.abs(c) > 1e-12) for c in coeffs]
+        assert [len(ops) for ops in read] == [1, 1, 1, 1], rid
+        ops = [int(p[0]) for p in read]
+        assert len(set(ops)) == 4, rid
+        weights = np.zeros(16)
+        weights[ops] = coeffs[range(4), ops] ** 2
+        np.testing.assert_allclose(weights, _PAULI_WEIGHTS[rid - 1], atol=1e-12, err_msg=str(rid))
 
 
 def test_design_shape_and_order():

@@ -154,6 +154,11 @@ def test_superset_monotonicity(rng):
         assert set_report(sorted(set(base) | set(chosen))).full_rank
 
 
+# Swapping the two spins maps the read-out that applies rotation ab and
+# acquires H to the one that applies ba and acquires P: _MIRROR[r - 1] for id r.
+_MIRROR = [10, 13, 16, 11, 14, 17, 12, 15, 18, 1, 4, 7, 2, 5, 8, 3, 6, 9]
+
+
 def test_mirror_symmetry_of_minimal_sets():
     # t <-> t+9 swaps only the acquired spin, not the rotation, so it is not
     # the mirror; still, the count of full-rank 5-sets containing an id must
@@ -162,15 +167,12 @@ def test_mirror_symmetry_of_minimal_sets():
     counts = {t: sum(t in ids for ids in found) for t in range(1, 19)}
     for t in range(1, 10):
         assert counts[t] == counts[t + 9], (t, counts[t], counts[t + 9])
-    # Swapping the two spins maps the read-out that applies rotation ab and
-    # acquires H to the one that applies ba and acquires P: mirror[r - 1] for
-    # id r. This exact mirror is an involution that reverses the product-
-    # operator labels (XY <-> YX): each read-out's row of the weight table, so
-    # relabelled, is its mirror's row, and the trace weights are fixed.
-    mirror = [10, 13, 16, 11, 14, 17, 12, 15, 18, 1, 4, 7, 2, 5, 8, 3, 6, 9]
-    assert [mirror[m - 1] for m in mirror] == list(range(1, 19))
+    # _MIRROR is an involution that reverses the product-operator labels
+    # (XY <-> YX): each read-out's row of the weight table, so relabelled, is
+    # its mirror's row, and the trace weights are fixed.
+    assert [_MIRROR[m - 1] for m in _MIRROR] == list(range(1, 19))
     swap = [PAULI_LABELS.index(label[::-1]) for label in PAULI_LABELS]
-    for r, m in enumerate(mirror, start=1):
+    for r, m in enumerate(_MIRROR, start=1):
         np.testing.assert_array_equal(_PAULI_WEIGHTS[r - 1][swap], _PAULI_WEIGHTS[m - 1], err_msg=str(r))
     np.testing.assert_array_equal(_TRACE_WEIGHTS[swap], _TRACE_WEIGHTS)
     # so the mirror image of every full-rank set is full rank, with a
@@ -178,9 +180,23 @@ def test_mirror_symmetry_of_minimal_sets():
     for k in (5, 6, 7):
         reports = {r.ids: r for r in enumerate_minimal_sets(k)}
         for ids, report in reports.items():
-            image = tuple(sorted(mirror[i - 1] for i in ids))
+            image = tuple(sorted(_MIRROR[i - 1] for i in ids))
             assert image in reports, (ids, image)
             assert reports[image].eigenvalues.tobytes() == report.eigenvalues.tobytes(), ids
+
+
+def test_mirror_keeps_rank_and_spectrum_at_every_set_size(rng):
+    # random sets of sizes 1..18, full rank or not
+    deficient = 0
+    for k in range(1, 19):
+        for _ in range(100):
+            ids = rng.choice(np.arange(1, 19), size=k, replace=False)
+            report = set_report(ids)
+            image = set_report(_MIRROR[i - 1] for i in ids)
+            assert image.rank == report.rank, ids
+            assert image.eigenvalues.tobytes() == report.eigenvalues.tobytes(), ids
+            deficient += not report.full_rank
+    assert 0 < deficient < 1800
 
 
 def test_rank_sets_by_conditioning():
