@@ -6,10 +6,10 @@ singular value counts toward ``matrix_rank`` above ``RANK_TOL`` times the
 largest. Built designs are decomposed exactly in the product-operator
 basis instead, tested against these kernels; ``sym_eigen`` takes the rest.
 
-Everything here is a pure function of its inputs. The matrices this package
-cares about are at most 73x16, so clarity and reproducibility win over speed.
-Each kernel converts and checks its matrix with ``errors._finite_array``
-(numeric, non-empty, finite, 2-D).
+Everything here is a pure function of its inputs. Each kernel checks its
+own matrix once, with ``errors._finite_array`` (numeric, non-empty, finite,
+2-D). The library does not pass arrays it has already checked back through
+them: ``lsq.relative_error`` takes its two spectral norms in one batched SVD.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ with a tiny eigenvalue would amplify it. Reconstruction therefore solves
 each determined combination independently and holds every ill-determined
 one at a physically motivated prior instead of letting noise pick it.
 
-Every array a function here is given (the design matrix and rhs, the
-normal rhs, parameters, priors, density matrices) is converted and checked
-once by ``errors._finite_array``, so a NaN or a wrong shape is a
-ValidationError, never a NaN result; every threshold by ``_threshold``.
+A public function here checks its own arguments once: each array (design
+matrix and rhs, normal rhs, parameters, priors, density matrices) by
+``errors._finite_array``, so a NaN or a wrong shape is a ValidationError,
+never a NaN result, and each threshold by ``_threshold``. What it builds
+from them and hands on, to ``_analysis`` or to numpy, is not checked again.
 
 Analysis and reconstruction share one step, ``_analysis``: it decomposes C
 in the basis of the 16 two-spin product operators, exact for every design
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, _finite_array, _real
-from .linalg import _symmetric, spectral_norm, sym_eigen
+from .linalg import _symmetric, sym_eigen
 from .model import _FRAME_NORMS, _FUNCTIONALS, _PAULI_BASIS, N_PARAMS, DesignSystem, maximally_mixed_params
 
 DEFAULT_THRESHOLD = 0.001
@@ -137,7 +138,8 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
     report = _analysis(a.T @ a, a.T @ b, threshold)
     held = report.ill_determined
-    if held.all():
+    n_held = np.count_nonzero(held)
+    if n_held == N_PARAMS:
         raise NumericalError(
             f"no parameter combination is determined at threshold {threshold:g}; "
             "the design system carries no usable information"
@@ -146,7 +148,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     solved = np.divide(report.projected_rhs, w, out=np.zeros(N_PARAMS), where=~held)
     x = combos.T @ np.where(held, combos @ prior, solved)
     r = a @ x - b
-    truncated = tuple((float(w[k]), combos[k]) for k in np.flatnonzero(held))
+    truncated = tuple((float(w[k]), combos[k]) for k in np.flatnonzero(held)) if n_held else ()
     return ReconstructionResult(x, float(r @ r), truncated, prior)
 
 
@@ -154,20 +156,25 @@ def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:
     """Relative distance ||rho_exp - rho_ref|| / ||rho_exp||.
 
     Note the denominator uses the first argument. The default is the
-    spectral (largest-singular-value) norm; "frobenius" is also accepted.
+    spectral (largest-singular-value) norm, both taken by one batched SVD;
+    "frobenius" is also accepted. The ratio does not depend on scale, so both
+    matrices are first divided by the power of two that brings their largest
+    real or imaginary part into [0.5, 1), exact outside the subnormals.
     """
     a = _finite_array(rho_exp, (None, None), "rho_exp", complex)
     b = _finite_array(rho_ref, (None, None), "rho_ref", complex)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected two square matrices of equal shape, got {a.shape} and {b.shape}")
-    if norm == "spectral":
-        denom = spectral_norm(a)
-        num = spectral_norm(a - b)
-    elif norm == "frobenius":
-        denom = float(np.linalg.norm(a))
-        num = float(np.linalg.norm(a - b))
-    else:
+    if norm not in ("spectral", "frobenius"):
         raise ValidationError(f"unknown norm {norm!r}; expected 'spectral' or 'frobenius'")
+    pair = np.array((a, b))
+    parts = pair.view(float)
+    np.ldexp(parts, -math.frexp(np.abs(parts).max())[1], out=parts)
+    np.subtract(pair[0], pair[1], out=pair[1])  # pair is now (a, a - b)
+    if norm == "spectral":
+        denom, num = np.linalg.svd(pair, compute_uv=False)[:, 0].tolist()
+    else:
+        denom, num = float(np.linalg.norm(pair[0])), float(np.linalg.norm(pair[1]))
     if denom == 0.0:
         raise ValidationError("relative_error is undefined for a zero first argument")
     return num / denom

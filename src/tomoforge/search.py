@@ -17,6 +17,7 @@ the ranks against the singular-value ``linalg.matrix_rank``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -122,4 +123,5 @@ def rank_sets_by_conditioning(reports) -> list:
     on the order of the input. The sort is stable, so duplicated reports
     keep their input order. Slice the result for the best few.
     """
-    return sorted((r for r in reports if r.full_rank), key=lambda r: (-r.min_eigenvalue, r.ids))
+    ranked = sorted((r for r in reports if r.full_rank), key=attrgetter("ids"))
+    return [ranked[k] for k in np.argsort([-r.min_eigenvalue for r in ranked], kind="stable")]

@@ -178,6 +178,23 @@ def test_entries_near_the_float_limit_are_rejected_without_a_warning():
 
 
 @pytest.mark.filterwarnings("error")
+def test_relative_error_does_not_depend_on_scale():
+    j = np.ones((4, 4))
+    assert relative_error(1e308 * j, -1e308 * j) == 2.0  # a - b overflows
+    assert relative_error(1e308 * j, 0 * j) == 1.0  # ||a|| overflows
+    assert relative_error(1e200 * j, 0.5e200 * j, "frobenius") == 0.5  # squares overflow
+    assert relative_error(1e-200 * j, 0.5e-200 * j, "frobenius") == 0.5  # squares underflow
+    assert relative_error(1e-200 * j, 0.5e-200 * j) == 0.5
+
+
+@pytest.mark.filterwarnings("error")
+def test_trace_beyond_the_float_range_is_not_normalized_without_a_warning():
+    assert not is_trace_normalized([1e308] * 16)
+    with pytest.raises(ValidationError, match="^density matrix must have trace 1, got inf$"):
+        simulate_readings(np.diag([1e308] * 4), [1])
+
+
+@pytest.mark.filterwarnings("error")
 def test_sym_eigen_near_the_float_limit():
     dec = sym_eigen(np.diag([1e308, 1.0]))
     np.testing.assert_array_equal(dec.eigenvalues, [1e308, 1.0])

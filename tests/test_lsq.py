@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -454,3 +455,26 @@ def test_hopeless_threshold_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(NumericalError, match="threshold"):
             reconstruct(d, threshold=1e9)
+
+
+def test_acquisition_path_is_pinned_bit_for_bit():
+    # simulate -> reconstruct -> relative_error over the golden five-sets and
+    # the full set, hashed byte for byte: a speed-up of any step must leave
+    # every bit of its output as it was
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    digest = hashlib.sha256()
+    for ids in list(goldens.MINIMAL_SETS_5) + [tuple(range(1, 19))]:
+        for seed in range(10):
+            for sigma in (0.0, 0.01):
+                readings = simulate_readings(rho, ids, noise_sigma=sigma, seed=seed)
+                digest.update(np.array([r.value for r in readings]).tobytes())
+                design = assemble_design(ids, readings=readings)
+                for threshold in (1e-3, 0.75):
+                    result = reconstruct(design, threshold)
+                    digest.update(result.params.tobytes() + repr(result.chi2).encode())
+                    for lam, combo in result.truncated_directions:
+                        digest.update(repr(lam).encode() + combo.tobytes())
+                    rebuilt = params_to_matrix(result.params)
+                    for norm in ("spectral", "frobenius"):
+                        digest.update(repr(relative_error(rebuilt, rho, norm)).encode())
+    assert digest.hexdigest() == "69854d2c1cbe0413e92668892830976d1fa07af05df9416b8ec993b8d89b41b4"

@@ -370,6 +370,12 @@ def test_ranking_does_not_depend_on_input_order(rng):
     ranked = [r.ids for r in rank_sets_by_conditioning(reports)]
     assert [r.ids for r in rank_sets_by_conditioning(shuffled)] == ranked
     assert len(ranked) == 72 + 1182 + 6714
+    # the same objects as the plain key sort; duplicated reports (equal ids,
+    # distinct objects) keep their input order
+    dup = shuffled + [SetReport(r.ids, r.eigenvalues.copy()) for r in shuffled[:100]]
+    dup = [dup[i] for i in rng.permutation(len(dup))]
+    reference = sorted(dup, key=lambda r: (-r.min_eigenvalue, r.ids))
+    assert all(a is b for a, b in zip(rank_sets_by_conditioning(dup), reference, strict=True))
 
 
 def test_full_rank_set_count_over_all_sizes():
