@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ValidationError, _ascii_text, _finite_array
-from .model import Reading, _add_reading, _require_hermitian
+from .model import Reading, _add_reading, _reading_values, _require_hermitian
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i", re.ASCII)  # \d: 0-9 only
@@ -84,10 +84,7 @@ def format_readings(readings: Iterable[Reading], metadata: Optional[dict] = None
         if line.splitlines() != [line]:
             raise ValidationError(f"metadata {key!r}={value!r} must not contain a line break")
         lines.append(line)
-    values = {}
-    for r in readings:
-        _add_reading(values, r.readout, r.peak, r.value)
-    lines += [f"{rid},{peak},{z.real!r},{z.imag!r}" for (rid, peak), z in values.items()]
+    lines += [f"{rid},{peak},{z.real!r},{z.imag!r}" for (rid, peak), z in _reading_values(readings).items()]
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ basis instead, tested against these kernels; ``sym_eigen`` takes the rest.
 Everything here is a pure function of its inputs. Each kernel checks its
 own matrix once, with ``errors._finite_array`` (numeric, non-empty, finite,
 2-D). The library does not pass arrays it has already checked back through
-them: ``lsq.relative_error`` takes its two spectral norms in one batched SVD.
+them.
 """
 
 from __future__ import annotations

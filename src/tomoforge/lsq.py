@@ -14,11 +14,11 @@ matrix and rhs, normal rhs, parameters, priors, density matrices) by
 never a NaN result, and each threshold by ``_threshold``. What it builds
 from them and hands on, to ``_analysis`` or to numpy, is not checked again.
 
-Analysis and reconstruction share one step, ``_analysis``: it decomposes C
-in the basis of the 16 two-spin product operators, exact for every design
-``assemble_design`` builds, or else by ``linalg.sym_eigen``, projects b and
-flags the combinations below the threshold; ``reconstruct`` holds those at
-the prior and solves the rest.
+Analysis and reconstruction share one step, ``_analysis``: the exact rule
+``model._pauli_eigenvalues`` gives C's eigenvalues in the 16 two-spin product
+operators for every design ``assemble_design`` builds, ``linalg.sym_eigen``
+decomposes any other C; it projects b and flags the combinations below the
+threshold, and ``reconstruct`` holds those at the prior and solves the rest.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, _finite_array, _real
 from .linalg import _symmetric, sym_eigen
-from .model import _FRAME_NORMS, _FUNCTIONALS, _PAULI_BASIS, N_PARAMS, DesignSystem, maximally_mixed_params
+from .model import _PAULI_BASIS, N_PARAMS, DesignSystem, _pauli_eigenvalues, maximally_mixed_params
 
 DEFAULT_THRESHOLD = 0.001
 
@@ -87,16 +87,10 @@ def _threshold(value) -> float:
 
 
 def _analysis(c: np.ndarray, rhs: np.ndarray, threshold: float) -> ErrorMatrixReport:
-    """The report of a checked symmetric ``c``. If G = F^T c F (F the integer
-    functionals) is finite with exact zeros off the diagonal, the eigenvalues
-    are diag(G) over F's squared lengths and the combinations the product
-    operators, ties in ``PAULI_LABELS`` order; otherwise those of ``sym_eigen``."""
-    exact = c.shape == (N_PARAMS, N_PARAMS)
-    if exact:
-        g = _FUNCTIONALS.T @ c @ _FUNCTIONALS
-        w = g.diagonal() / _FRAME_NORMS
-        exact = np.count_nonzero(g) == np.count_nonzero(w) and math.isfinite(w.sum())
-    if exact:
+    """The report of a checked symmetric ``c``: in the product operators by ``model._pauli_eigenvalues``,
+    ties in ``PAULI_LABELS`` order, or, where that returns None, by ``sym_eigen``."""
+    w = _pauli_eigenvalues(c)
+    if w is not None:
         order = np.argsort(-w, kind="stable")
         w, combos = w[order], _PAULI_BASIS.T[order]
     else:

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _finite_array, _real
+from .errors import NumericalError, ValidationError, _finite_array, _real
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -84,19 +84,14 @@ def _require_int_in_range(value, what: str = "read-out id", lo=1, hi=N_READOUTS)
     raise ValidationError(f"{what} out of range: expected an integer{span}, got {value!r}")
 
 
-def require_readout_id(readout: int) -> int:
-    """The read-out id as an int; ValidationError unless it equals an integer in 1..18."""
-    return _require_int_in_range(readout)
-
-
 def readout_label(readout: int) -> str:
     """Rotation label of a read-out id (1-9 and 10-18 share the same cycle)."""
-    return ROTATION_LABELS[(require_readout_id(readout) - 1) % 9]
+    return ROTATION_LABELS[(_require_int_in_range(readout) - 1) % 9]
 
 
 def readout_spin(readout: int) -> str:
     """Which spin is acquired: 'H' for ids 1-9, 'P' for ids 10-18."""
-    return "H" if require_readout_id(readout) <= 9 else "P"
+    return "H" if _require_int_in_range(readout) <= 9 else "P"
 
 
 def observable_positions(readout: int) -> tuple:
@@ -213,15 +208,30 @@ _FUNCTIONALS = np.array(
 ).T
 _FRAME_NORMS = (_FUNCTIONALS**2).sum(axis=0)  # the squared lengths, 4 or 8
 _PAULI_BASIS = _FUNCTIONALS / np.sqrt(_FRAME_NORMS)
-# A 90-degree pulse maps each product operator onto another, so a read-out
-# observes four of them and U diagonalises its Gram block A_r^T A_r, and the
-# trace row's. Row r-1 of _PAULI_WEIGHTS is the diagonal of U^T A_r^T A_r U,
-# taken exactly in the integer frame: four entries of 1/2 or 1. _TRACE_WEIGHTS
-# is 4 on II. A set's normal matrix is U diag(w) U^T, w the sum of its rows and
-# the trace weights, so every eigenvalue is an exact sum of halves.
-_PAULI_WEIGHTS, _TRACE_WEIGHTS = (
-    ((rows @ _FUNCTIONALS) ** 2).sum(axis=-2) / _FRAME_NORMS for rows in (_ROWS, _TRACE_ROW[None])
-)
+
+
+def _pauli_eigenvalues(c: np.ndarray):
+    """Eigenvalues of a symmetric ``c`` in ``PAULI_LABELS`` order, diag(G) over F's squared lengths, if
+    G = F^T c F (F the integer functionals) has exact zeros off the diagonal; else None. Each column of F
+    sums to 4 in absolute value, so a c past 2^1020, where G could overflow, is first scaled down."""
+    if c.shape != (N_PARAMS, N_PARAMS):
+        return None
+    e = max(np.frexp(np.abs(c).max())[1] - 1020, 0)  # a power of two: exact outside the subnormals
+    g = _FUNCTIONALS.T @ np.ldexp(c, -e) @ _FUNCTIONALS
+    w = g.diagonal() / _FRAME_NORMS
+    if np.count_nonzero(g) != np.count_nonzero(w) or not np.ldexp(np.abs(w).max(), e - 1024) < 1:
+        return None  # not diagonal, or an eigenvalue past the float range once scaled back
+    return np.ldexp(w, e)
+
+
+# A 90-degree pulse maps each product operator onto another, so a read-out observes four of
+# them and U diagonalises its Gram block A_r^T A_r, and the trace row's: row r-1 of _PAULI_WEIGHTS
+# is the rule on A_r^T A_r, four entries of 1/2 or 1, and _TRACE_WEIGHTS is 4 on II. A set's normal
+# matrix is U diag(w) U^T, w the sum of its rows and the trace weights: exact sums of halves.
+*_PAULI_WEIGHTS, _TRACE_WEIGHTS = (_pauli_eigenvalues(r.T @ r) for r in (*_ROWS, _TRACE_ROW[None]))
+if any(w is None for w in (*_PAULI_WEIGHTS, _TRACE_WEIGHTS)):
+    raise NumericalError("a read-out's Gram block is not diagonal in the product-operator basis")
+_PAULI_WEIGHTS = np.array(_PAULI_WEIGHTS)
 for _table in (_FUNCTIONALS, _FRAME_NORMS, _PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS):
     _table.setflags(write=False)
 
@@ -233,7 +243,7 @@ def readout_rows(readout: int):
     imaginary-part equations of the left then right peak, and a tuple of
     matching (id, peak, 're'|'im') labels.
     """
-    rid = require_readout_id(readout)
+    rid = _require_int_in_range(readout)
     return _ROWS[rid - 1].copy(), _ROW_LABELS[rid - 1]
 
 
@@ -267,8 +277,16 @@ class DesignSystem:
         return bool(self.row_labels) and self.row_labels[-1] == TRACE_LABEL
 
 
+def _iterate(value, what: str):
+    """``iter(value)``; ValidationError naming ``value`` if it is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {value!r}") from None
+
+
 def _validated_ids(readouts: Iterable) -> list:
-    ids = [_require_int_in_range(r) for r in readouts]
+    ids = [_require_int_in_range(r) for r in _iterate(readouts, "read-out set")]
     if not ids:
         raise ValidationError("read-out set must not be empty")
     if len(set(ids)) != len(ids):
@@ -297,6 +315,16 @@ def _add_reading(values: dict, readout, peak, value) -> None:
     values[key] = z
 
 
+def _reading_values(readings) -> dict:
+    """{(id, peak): value} of ``Reading`` records by ``_add_reading``; ValidationError naming any other item."""
+    values = {}
+    for rec in _iterate(readings, "readings"):
+        if not isinstance(rec, Reading):
+            raise ValidationError(f"readings must be Reading records, got {rec!r}")
+        _add_reading(values, rec.readout, rec.peak, rec.value)
+    return values
+
+
 def assemble_design(
     readouts: Iterable,
     include_trace: bool = True,
@@ -313,11 +341,12 @@ def assemble_design(
     if not isinstance(include_trace, (bool, np.bool_)):
         raise ValidationError(f"include_trace must be True or False, got {include_trace!r}")
 
-    values = None
+    n = 4 * len(ids)
+    matrix = np.zeros((n + 1 if include_trace else n, N_PARAMS))
+    matrix[:n] = _ROWS[np.array(ids) - 1].reshape(n, N_PARAMS)
+    rhs = np.zeros(len(matrix))
     if readings is not None:
-        values = {}
-        for rec in readings:
-            _add_reading(values, rec.readout, rec.peak, rec.value)
+        values = _reading_values(readings)
         expected = {(rid, p) for rid in ids for p in PEAKS}
         if set(values) != expected:
             missing = sorted(expected - set(values))
@@ -325,12 +354,6 @@ def assemble_design(
             raise ValidationError(
                 f"readings do not match the read-out set (missing {missing}, unexpected {extra})"
             )
-
-    n = 4 * len(ids)
-    matrix = np.zeros((n + 1 if include_trace else n, N_PARAMS))
-    matrix[:n] = _ROWS[np.array(ids) - 1].reshape(n, N_PARAMS)
-    rhs = np.zeros(len(matrix))
-    if values is not None:
         # complex peaks viewed as floats: real and imaginary parts interleaved
         rhs[:n] = np.array([values[(rid, p)] for rid in ids for p in PEAKS]).view(float)
     labels = [label for rid in ids for label in _ROW_LABELS[rid - 1]]

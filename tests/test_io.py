@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tomoforge import (
     Reading,
     ValidationError,
+    assemble_design,
     format_density,
     format_readings,
     params_to_matrix,
@@ -223,6 +224,26 @@ def test_format_readings_writes_only_what_parse_reads_back(readings):
 def test_format_readings_rejects_what_parse_rejects(readings, match):
     with pytest.raises(ValidationError, match=match):
         format_readings(readings)
+
+
+@pytest.mark.parametrize(
+    "readings,match",
+    [
+        ([(1, "left", 0j), (1, "right", 0j)], r"readings must be Reading records, got \(1, 'left', 0j\)"),
+        ([Reading(1, "left", 0j), None], "readings must be Reading records, got None"),
+        (5, "readings must be iterable, got 5"),
+    ],
+)
+def test_readings_that_are_not_reading_records_are_bad_input(readings, match, tmp_path):
+    path = tmp_path / "readings.csv"
+    for call in (
+        lambda: assemble_design([1], readings=readings),
+        lambda: format_readings(readings),
+        lambda: write_readings(path, readings),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            call()
+    assert not path.exists()
 
 
 def test_format_readings_accepts_numbers_and_numpy_scalars():

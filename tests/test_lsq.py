@@ -15,6 +15,7 @@ from tomoforge import (
     ValidationError,
     assemble_design,
     chi2,
+    enumerate_minimal_sets,
     error_matrix_analysis,
     matrix_rank,
     matrix_to_params,
@@ -24,11 +25,19 @@ from tomoforge import (
     psd_project,
     reconstruct,
     relative_error,
+    set_report,
     simulate_readings,
     sym_eigen,
 )
 from tomoforge import lsq
-from tomoforge.model import PAULI_LABELS, _PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS
+from tomoforge.model import (
+    DIAGONAL_SLOTS,
+    PAULI_LABELS,
+    _PAULI_BASIS,
+    _PAULI_WEIGHTS,
+    _TRACE_WEIGHTS,
+    _pauli_eigenvalues,
+)
 from conftest import random_trace_one_hermitian
 
 import goldens
@@ -429,6 +438,41 @@ def test_row_scaled_design_takes_the_general_eigensolver(monkeypatch, rng):
     report = error_matrix_analysis(NormalSystem(np.diag([3.0, 1.0, 2.0]), np.ones(3)))
     np.testing.assert_array_equal(report.eigenvalues, [3.0, 2.0, 1.0])
     assert len(calls) == 3
+
+
+def test_analysis_gives_the_search_spectrum_bit_for_bit():
+    sets = [*goldens.MINIMAL_SETS_5, *(r.ids for r in enumerate_minimal_sets(6)), tuple(range(1, 19))]
+    assert len(sets) == 72 + 1182 + 1
+    for ids in sets:
+        w = error_matrix_analysis(normal_system(assemble_design(ids))).eigenvalues
+        assert w.tobytes() == set_report(ids).eigenvalues.tobytes(), ids
+
+
+def test_rule_refuses_a_coupling_of_an_exactly_zero_pair():
+    for ids in ((1, 2, 6, 12, 13), range(1, 19)):
+        c = normal_system(assemble_design(ids)).matrix
+        assert c[0, 1] == 0.0 and _pauli_eigenvalues(c) is not None
+        for tiny in (5e-324, np.finfo(float).eps):  # the smallest subnormal, then eps
+            coupled = c.copy()
+            coupled[0, 1] = coupled[1, 0] = tiny
+            assert _pauli_eigenvalues(coupled) is None, (tuple(ids), tiny)
+    assert _pauli_eigenvalues(np.diag([3.0, 1.0, 2.0])) is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_rule_scales_a_normal_matrix_near_the_float_limit(monkeypatch):
+    calls = _count_sym_eigen(monkeypatch)
+    c = normal_system(assemble_design(range(1, 19))).matrix  # entries at most 5
+    reference = error_matrix_analysis(NormalSystem(c, np.zeros(16)))
+    report = error_matrix_analysis(NormalSystem(np.ldexp(c, 1020), np.zeros(16)))
+    assert report.eigenvalues.tobytes() == np.ldexp(reference.eigenvalues, 1020).tobytes()
+    assert report.combinations.tobytes() == reference.combinations.tobytes()
+    assert calls == []
+    # the II eigenvalue of a population block of 1.5 * 2^1022 is 1.5 * 2^1024,
+    # past the float range: refused, without an overflow warning
+    block = np.zeros((16, 16))
+    block[np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)] = np.ldexp(1.5, 1022)
+    assert _pauli_eigenvalues(block) is None
 
 
 def test_callers_cannot_reach_the_pauli_basis():

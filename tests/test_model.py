@@ -27,7 +27,7 @@ from tomoforge import (
     set_report,
     simulate_readings,
 )
-from tomoforge.model import PAULI_LABELS, _PAULI_WEIGHTS, require_readout_id
+from tomoforge.model import PAULI_LABELS, _PAULI_WEIGHTS, _require_int_in_range
 from conftest import random_hermitian, random_trace_one_hermitian
 
 import goldens
@@ -306,7 +306,7 @@ BAD_IDS = (float("nan"), float("inf"), float("-inf"), None, "a", "3", 5.5, 0, 19
 def test_id_rule_is_one_rule_everywhere(bad):
     readings = simulate_readings(np.eye(4) / 4, [2])
     for call in (
-        lambda: require_readout_id(bad),
+        lambda: readout_label(bad),
         lambda: assemble_design([bad, 2]),
         lambda: assemble_design([2], readings=readings + [Reading(bad, "left", 0j)]),
         lambda: set_report([bad, 2]),
@@ -318,10 +318,21 @@ def test_id_rule_is_one_rule_everywhere(bad):
         enumerate_minimal_sets(bad)
 
 
+@pytest.mark.parametrize("bad", (5, None), ids=repr)
+def test_a_readout_set_that_is_not_iterable_is_bad_input(bad):
+    for call in (
+        lambda: simulate_readings(np.eye(4) / 4, bad),
+        lambda: assemble_design(bad),
+        lambda: set_report(bad),
+    ):
+        with pytest.raises(ValidationError, match=f"read-out set must be iterable, got {bad}"):
+            call()
+
+
 @pytest.mark.parametrize("good", (True, np.int64(5), 5.0), ids=repr)
 def test_id_rule_accepts_values_equal_to_an_integer(good):
     k = int(good)
-    assert require_readout_id(good) == k and type(require_readout_id(good)) is int
+    assert _require_int_in_range(good) == k and type(_require_int_in_range(good)) is int
     a, b = assemble_design([good, 7]), assemble_design([k, 7])
     np.testing.assert_array_equal(a.matrix, b.matrix)
     assert a.row_labels == b.row_labels

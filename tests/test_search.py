@@ -22,6 +22,7 @@ from tomoforge.model import (
     _ROWS,
     _TRACE_ROW,
     _TRACE_WEIGHTS,
+    _pauli_eigenvalues,
     matrix_to_params,
 )
 from tomoforge.search import SetReport, _ids, _spectra, _tables
@@ -283,6 +284,21 @@ def test_pauli_basis_diagonalises_every_gram_block():
         assert np.all(exact[~np.eye(16, dtype=bool)] == 0.0), r
         np.testing.assert_array_equal(np.diag(exact) / SQUARED_NORMS, w)
         np.testing.assert_allclose(_PAULI_BASIS.T @ gram @ _PAULI_BASIS, np.diag(w), rtol=0, atol=1e-15)
+
+
+def test_weight_tables_are_the_rule_on_each_gram_block():
+    for r, (gram, w) in enumerate(zip(GRAMS, [*_PAULI_WEIGHTS, _TRACE_WEIGHTS]), start=1):
+        assert _pauli_eigenvalues(gram).tobytes() == w.tobytes(), r
+
+
+def test_a_gram_block_off_the_product_operators_is_refused():
+    # one coefficient moved by 1/4, anywhere in any read-out, is what would
+    # make the import-time check of the weight tables fire
+    for r, rows in enumerate(_ROWS, start=1):
+        for i, k in itertools.product(range(4), range(16)):
+            moved = rows.copy()
+            moved[i, k] += 0.25
+            assert _pauli_eigenvalues(moved.T @ moved) is None, (r, i, k)
 
 
 def test_pauli_column_reads_its_product_operator(rng):
