@@ -130,8 +130,15 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
-    report = _analysis(a.T @ a, a.T @ b, threshold)
+    # past |a| = 2^500, where A^T A could overflow, a and b are scaled by 2^-e, exact outside the subnormals:
+    # x is unchanged, and eigenvalues and chi^2 are scaled back by 2^2e, to inf past the float range
+    e = max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
+    s, t = (np.ldexp(a, -e), np.ldexp(b, -e)) if e else (a, b)
+    report = _analysis(s.T @ s, s.T @ t, threshold)
     held = report.ill_determined
+    if e:
+        with np.errstate(over="ignore"):
+            held = np.ldexp(report.eigenvalues, 2 * e) < threshold
     n_held = np.count_nonzero(held)
     if n_held == N_PARAMS:
         raise NumericalError(
@@ -141,9 +148,9 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     w, combos = report.eigenvalues, report.combinations
     solved = np.divide(report.projected_rhs, w, out=np.zeros(N_PARAMS), where=~held)
     x = combos.T @ np.where(held, combos @ prior, solved)
-    r = a @ x - b
-    truncated = tuple((float(w[k]), combos[k]) for k in np.flatnonzero(held)) if n_held else ()
-    return ReconstructionResult(x, float(r @ r), truncated, prior)
+    r = s @ x - t
+    truncated = tuple((math.ldexp(float(w[k]), 2 * e), combos[k]) for k in np.flatnonzero(held)) if n_held else ()
+    return ReconstructionResult(x, float(r @ r) * 2.0**e * 2.0**e, truncated, prior)
 
 
 def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:

@@ -22,6 +22,7 @@ optional trace row (x1 + x5 + x8 + x10 = 1) fixes normalization.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -216,10 +217,10 @@ def _pauli_eigenvalues(c: np.ndarray):
     sums to 4 in absolute value, so a c past 2^1020, where G could overflow, is first scaled down."""
     if c.shape != (N_PARAMS, N_PARAMS):
         return None
-    e = max(np.frexp(np.abs(c).max())[1] - 1020, 0)  # a power of two: exact outside the subnormals
+    e = max(math.frexp(float(np.abs(c).max()))[1] - 1020, 0)  # a power of two: exact outside the subnormals
     g = _FUNCTIONALS.T @ np.ldexp(c, -e) @ _FUNCTIONALS
     w = g.diagonal() / _FRAME_NORMS
-    if np.count_nonzero(g) != np.count_nonzero(w) or not np.ldexp(np.abs(w).max(), e - 1024) < 1:
+    if np.count_nonzero(g) != np.count_nonzero(w) or not math.ldexp(float(np.abs(w).max()), e - 1024) < 1:
         return None  # not diagonal, or an eigenvalue past the float range once scaled back
     return np.ldexp(w, e)
 

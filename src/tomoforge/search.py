@@ -9,9 +9,12 @@ with no eigensolve. Rank is set cover: a read-out observes 4 of the 15
 non-identity product operators and the trace row the identity, and a set's
 rank is the number of product operators it covers (full rank: all 16).
 A set is an 18-bit mask, bit 18 - r for read-out r, so descending masks of
-one size are in lexicographic order. Each search tabulates the cover of all
-2^18 masks in one pass and scores only the full-rank sets; the tests check
-the ranks against the singular-value ``linalg.matrix_rank``.
+one size are in lexicographic order. Its high and low 9 bits (read-outs 1-9
+and 10-18) index two constant half tables of ids, weight sums (the trace row's
+in the high one) and covers: a set's ids are one tuple concatenation, its
+spectrum one sum of two rows, and the cover of all 2^18 masks one outer OR.
+Only full-rank sets are scored; ranking sorts one array of their smallest
+eigenvalues. The tests check ranks against the singular-value ``matrix_rank``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .model import N_PARAMS, N_READOUTS, _PAULI_WEIGHTS, _TRACE_WEIGHTS, _require_int_in_range, _validated_ids
 
 _FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
+_HALF = 1 << 9  # half masks: read-outs 1-9 are the high 9 bits of a set's mask, 10-18 the low 9
 
 
 @dataclass(frozen=True)
@@ -51,31 +55,34 @@ class SetReport:
         return float(self.eigenvalues[-1])
 
 
+def _half_tables(first, weights0):
+    """Ascending ids, weight sums (``weights0`` plus the sets' rows) and cover of every 9-bit half mask over
+    read-outs first..first + 8, bit first + 8 - r for read-out r; by doubling, read-out first + 8 - b put
+    before the masks below 1 << b."""
+    ids, weights = [()], np.full((_HALF, N_PARAMS), weights0, float)
+    for b in range(9):
+        r = first + 8 - b
+        ids += [(r, *rest) for rest in ids]
+        np.add(weights[:1 << b], _PAULI_WEIGHTS[r - 1], out=weights[1 << b:2 << b])
+    weights.setflags(write=False)
+    return tuple(ids), weights, (weights != 0) @ (1 << np.arange(N_PARAMS, dtype=np.uint16))
+
+
+(_HI_IDS, _HI_W, _HI_COVER), (_LO_IDS, _LO_W, _LO_COVER) = _half_tables(1, _TRACE_WEIGHTS), _half_tables(10, 0)
+_HALF_SIZES = np.array([len(ids) for ids in _HI_IDS], np.uint8)
+
+
 def _tables():
-    """Cover and size of every 18-bit mask: the product operators the set and
-    the trace row observe (bit P for column P of the weight table) and the
-    number of read-outs. Built by doubling, adding read-out 18 - b to the
-    masks below 1 << b."""
-    observed = np.vstack([_PAULI_WEIGHTS, _TRACE_WEIGHTS]) != 0
-    # Python ints, so each OR stays in uint16 (an int64 operand would not)
-    *readouts, trace = (observed @ (1 << np.arange(N_PARAMS))).tolist()
-    cover = np.empty(1 << N_READOUTS, np.uint16)
-    sizes = np.empty(1 << N_READOUTS, np.uint8)
-    cover[0], sizes[0] = trace, 0
-    for b in range(N_READOUTS):
-        n = 1 << b
-        np.bitwise_or(cover[:n], readouts[N_READOUTS - 1 - b], out=cover[n:2 * n])
-        np.add(sizes[:n], 1, out=sizes[n:2 * n])
-    return cover, sizes
+    """Cover and size of every 18-bit mask, the OR and the sum of its halves':
+    the product operators the set and the trace row observe (bit P for column
+    P of the weight table) and the number of read-outs."""
+    return (_HI_COVER[:, None] | _LO_COVER).ravel(), (_HALF_SIZES[:, None] + _HALF_SIZES).ravel()
 
 
-def _spectra(ids):
-    """Descending normal-matrix spectra of equal-size id sets (n, k): the
-    trace weights plus each set's rows of the weight table, added one id
-    column at a time so that no (n, 18) 0/1 matrix is held."""
-    eig = np.tile(_TRACE_WEIGHTS, (len(ids), 1))
-    for column in ids.T:
-        eig += _PAULI_WEIGHTS[column - 1]
+def _spectra(masks):
+    """Descending normal-matrix spectra of the sets of an int array of masks:
+    the sum of their halves' rows, exact in any order."""
+    eig = _HI_W[masks >> 9] + _LO_W[masks & (_HALF - 1)]
     eig.sort(axis=1)
     return eig[:, ::-1]
 
@@ -85,19 +92,13 @@ def set_report(readouts) -> SetReport:
     iterable (read once), else ``ValidationError``. The ids are stored
     ascending."""
     ids = tuple(_validated_ids(readouts))
-    return SetReport(ids, _spectra(np.array([ids]))[0])
+    return SetReport(ids, _spectra(np.array([sum(1 << (N_READOUTS - r) for r in ids)]))[0])
 
 
 def minimum_readout_count() -> int:
     """Smallest k for which some k-read-out set has a full-rank design."""
     cover, sizes = _tables()
     return int(sizes[cover == _FULL_COVER].min())
-
-
-def _ids(masks, k):
-    """Ids (n, k) of k-read-out masks, each row ascending."""
-    bits = 1 << np.arange(N_READOUTS - 1, -1, -1)  # read-out 1 first
-    return np.nonzero(masks[:, None] & bits)[1].reshape(-1, k) + 1
 
 
 def enumerate_minimal_sets(size: int) -> list:
@@ -107,11 +108,10 @@ def enumerate_minimal_sets(size: int) -> list:
     """
     k = _require_int_in_range(size, "set size")
     cover, sizes = _tables()
-    ids = _ids(np.flatnonzero((cover == _FULL_COVER) & (sizes == k))[::-1], k)
+    masks = np.flatnonzero((cover == _FULL_COVER) & (sizes == k))[::-1]
     del cover, sizes  # freed before the spectra and the reports are built
-    eig = _spectra(ids)
-    # zipping the id columns makes each set's tuple without a list per set
-    return [SetReport(i, e) for i, e in zip(zip(*ids.T.tolist()), eig)]
+    hi, lo = (masks >> 9).tolist(), (masks & (_HALF - 1)).tolist()
+    return [SetReport(_HI_IDS[h] + _LO_IDS[l], e) for h, l, e in zip(hi, lo, _spectra(masks))]
 
 
 def rank_sets_by_conditioning(reports) -> list:
@@ -123,5 +123,7 @@ def rank_sets_by_conditioning(reports) -> list:
     on the order of the input. The sort is stable, so duplicated reports
     keep their input order. Slice the result for the best few.
     """
-    ranked = sorted((r for r in reports if r.full_rank), key=attrgetter("ids"))
-    return [ranked[k] for k in np.argsort([-r.min_eigenvalue for r in ranked], kind="stable")]
+    ranked = sorted(reports, key=attrgetter("ids"))
+    last = np.fromiter((r.eigenvalues[-1] for r in ranked), float, len(ranked))  # nonzero iff full rank
+    kept = np.flatnonzero(last)
+    return [ranked[k] for k in kept[np.argsort(-last[kept], kind="stable")]]

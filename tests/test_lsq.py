@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -473,6 +474,45 @@ def test_rule_scales_a_normal_matrix_near_the_float_limit(monkeypatch):
     block = np.zeros((16, 16))
     block[np.ix_(DIAGONAL_SLOTS, DIAGONAL_SLOTS)] = np.ldexp(1.5, 1022)
     assert _pauli_eigenvalues(block) is None
+
+
+def test_rule_refuses_a_non_finite_matrix():
+    # an infinite or NaN entry gives an eigenvalue that fails the range test
+    c = normal_system(assemble_design(range(1, 19))).matrix
+    with np.errstate(invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan):
+            for entry in ((0, 0), (3, 5)):
+                broken = c.copy()
+                broken[entry] = bad
+                assert _pauli_eigenvalues(broken) is None, (bad, entry)
+            assert _pauli_eigenvalues(np.full((16, 16), bad)) is None, bad
+
+
+@pytest.mark.filterwarnings("error")
+def test_reconstruct_scales_a_design_near_the_float_limit():
+    # past |a| = 2^500, A^T A could overflow: a design scaled by 2^k gives the
+    # params of the unscaled design at the threshold scaled by 2^-2k, bit for
+    # bit, its chi^2 and truncated eigenvalues times 2^2k, and no warning
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    for ids in ((1, 2, 3, 4), goldens.MINIMAL_SETS_5[0], tuple(range(1, 19))):
+        d = assemble_design(ids, readings=simulate_readings(rho, ids, noise_sigma=0.01, seed=7))
+        for k in (500, 511, 520):
+            scaled = DesignSystem(np.ldexp(d.matrix, k), np.ldexp(d.rhs, k), d.row_labels)
+            for threshold in (DEFAULT_THRESHOLD, 0.75):
+                got = reconstruct(scaled, threshold)
+                ref = reconstruct(d, math.ldexp(threshold, -2 * k))
+                assert got.params.tobytes() == ref.params.tobytes(), (ids, k, threshold)
+                assert got.chi2 == ref.chi2 * 2.0**k * 2.0**k  # inf past the float range
+                assert [(lam, c.tobytes()) for lam, c in got.truncated_directions] == [
+                    (math.ldexp(lam, 2 * k), c.tobytes()) for lam, c in ref.truncated_directions
+                ]
+    # the five-set's eigenvalues of 1/2 are held at 3/4 whatever the scale
+    d = assemble_design(goldens.MINIMAL_SETS_5[0], readings=simulate_readings(rho, goldens.MINIMAL_SETS_5[0]))
+    ref = reconstruct(d, 0.75)
+    assert [lam for lam, _ in ref.truncated_directions] == [0.5] * 3
+    got = reconstruct(DesignSystem(np.ldexp(d.matrix, 511), np.ldexp(d.rhs, 511), d.row_labels), math.ldexp(0.75, 1022))
+    assert got.params.tobytes() == ref.params.tobytes()
+    assert [lam for lam, _ in got.truncated_directions] == [math.ldexp(0.5, 1022)] * 3
 
 
 def test_callers_cannot_reach_the_pauli_basis():

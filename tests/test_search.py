@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -25,7 +26,7 @@ from tomoforge.model import (
     _pauli_eigenvalues,
     matrix_to_params,
 )
-from tomoforge.search import SetReport, _ids, _spectra, _tables
+from tomoforge.search import _HI_IDS, _LO_IDS, SetReport, _spectra, _tables
 
 import goldens
 from conftest import random_hermitian
@@ -43,6 +44,21 @@ INTEGER_BASIS = np.round(_PAULI_BASIS * NORMS)
 def masks_of(sets):
     """The 18-bit mask of each id set: bit 18 - r for read-out r."""
     return np.array([sum(1 << (18 - r) for r in ids) for ids in sets])
+
+
+def decode(masks):
+    """The ascending ids of each mask, read off its two half tables."""
+    return [_HI_IDS[m >> 9] + _LO_IDS[m & 511] for m in masks.tolist()]
+
+
+def digest(reports):
+    """sha256 over each report's ids, eigenvalue dtype and eigenvalue bytes."""
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(repr(r.ids).encode())
+        h.update(r.eigenvalues.dtype.str.encode())
+        h.update(r.eigenvalues.tobytes())
+    return h.hexdigest()
 
 
 def popcount(values):
@@ -223,14 +239,14 @@ def _all_spectra():
     cover, sizes = _tables()
     for k in range(1, 19):
         masks = np.flatnonzero(sizes == k)
-        yield masks, _spectra(_ids(masks, k)), popcount(cover[masks])
+        yield masks, _spectra(masks), popcount(cover[masks])
 
 
 def test_descending_masks_decode_to_lexicographic_order():
     _, sizes = _tables()
     for k in range(1, 19):
-        ids = _ids(np.flatnonzero(sizes == k)[::-1], k)
-        assert ids.tolist() == [list(c) for c in itertools.combinations(range(1, 19), k)], k
+        ids = decode(np.flatnonzero(sizes == k)[::-1])
+        assert ids == list(itertools.combinations(range(1, 19), k)), k
 
 
 def test_rank_rests_on_a_wide_eigenvalue_gap():
@@ -331,7 +347,7 @@ def test_table_normal_matrix_matches_design():
             w = _PAULI_WEIGHTS[np.array(ids) - 1].sum(axis=0) + _TRACE_WEIGHTS
             rebuilt = INTEGER_BASIS @ np.diag(w / SQUARED_NORMS) @ INTEGER_BASIS.T
             np.testing.assert_array_equal(rebuilt, normal_system(assemble_design(ids)).matrix)
-            np.testing.assert_array_equal(np.sort(w)[::-1], _spectra(np.array([ids]))[0])
+            np.testing.assert_array_equal(np.sort(w)[::-1], _spectra(masks_of([ids]))[0])
 
 
 def _margin_batches(rng):
@@ -352,7 +368,7 @@ def test_rank_margin_without_trace_row(rng):
     # --no-trace`` prints reads the exact spectrum and its rank to match.
     n_sets = 0
     for sets in _margin_batches(rng):
-        with_trace = _spectra(np.array(sets))
+        with_trace = _spectra(masks_of(sets))
         designs = [assemble_design(ids, include_trace=False) for ids in sets]
         table = np.array([error_matrix_analysis(normal_system(d)).eigenvalues for d in designs])
         table_rank = np.count_nonzero(table, axis=1)
@@ -371,7 +387,7 @@ def test_rank_margin_without_trace_row(rng):
 
 def test_table_spectra_match_full_eigensolve(rng):
     for sets in (*_margin_batches(rng), [tuple(range(1, 19))]):
-        eig = _spectra(np.array(sets))
+        eig = _spectra(masks_of(sets))
         full = np.linalg.eigvalsh([normal_system(assemble_design(ids)).matrix for ids in sets])
         np.testing.assert_allclose(eig, full[:, ::-1], rtol=0, atol=1e-12)
 
@@ -398,3 +414,39 @@ def test_full_rank_set_count_over_all_sizes():
     counts = [len(enumerate_minimal_sets(k)) for k in range(1, 19)]
     assert counts[:7] == [0, 0, 0, 0, 72, 1182, 6714]
     assert sum(counts) == 150_436
+
+
+def test_search_output_is_pinned():
+    # every enumerated report of every size, and the ranking of the shuffled
+    # sizes 5-8, bit for bit (ids, eigenvalue dtype and bytes)
+    everything = (r for k in range(1, 19) for r in enumerate_minimal_sets(k))
+    assert digest(everything) == "2a082432ad3df02dc4d777f60c4c421a31506826dd889911c14385cf76f49179"
+    reports = [r for k in (5, 6, 7, 8) for r in enumerate_minimal_sets(k)]
+    shuffled = [reports[i] for i in np.random.default_rng(19).permutation(len(reports))]
+    ranked = rank_sets_by_conditioning(shuffled)
+    assert len(ranked) == len(reports)
+    assert digest(ranked) == "010ebc30a7df0a7208dcec6d08bf07f8917ea7066161efe6c61e8ce8e2f29496"
+
+
+def test_ranking_returns_the_objects_of_the_key_sort(rng):
+    def reference(reports):
+        return sorted(filter(lambda r: r.full_rank, reports), key=lambda r: (-r.min_eigenvalue, r.ids))
+
+    def assert_same_objects(got, want):
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+    full = enumerate_minimal_sets(6)[::50] + [set_report(range(1, 19))]
+    deficient = [set_report(ids) for ids in ([1, 2, 3, 4], [1], [10, 11, 12, 13], [2, 5, 8, 11])]
+    # hand-built: a nonzero smallest eigenvalue is full rank, even a negative one
+    odd = [SetReport((3, 4), np.array([1.0, -0.5])), SetReport((2,), np.array([3.0, 0.0]))]
+    mixed = [(full + deficient + odd)[i] for i in rng.permutation(len(full) + len(deficient) + len(odd))]
+    twins = mixed + [SetReport(r.ids, r.eigenvalues.copy()) for r in mixed] + mixed[:5]
+    twins = [twins[i] for i in rng.permutation(len(twins))]
+    assert rank_sets_by_conditioning([]) == []
+    assert rank_sets_by_conditioning(iter([])) == []
+    assert rank_sets_by_conditioning(deficient) == []
+    for reports in (full, mixed, twins):
+        assert_same_objects(rank_sets_by_conditioning(reports), reference(reports))
+        # a one-shot iterator is read once
+        assert_same_objects(rank_sets_by_conditioning(iter(reports)), reference(reports))
