@@ -75,6 +75,13 @@ def _design_arrays(design: DesignSystem):
     return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
 
 
+def _scaled(a, b):
+    """Past |a| = 2^500, where A^T A could overflow, ``a`` and ``b`` scaled by 2^-e, exact outside the subnormals,
+    and e (else e = 0): x is unchanged, and eigenvalues and chi^2 scale back by 2^2e, to inf past the float range."""
+    e = max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
+    return (np.ldexp(a, -e), np.ldexp(b, -e), e) if e else (a, b, 0)
+
+
 def _threshold(value) -> float:
     """The truncation threshold as a float; ValidationError unless it is a real
     number (``errors._real``) with 0 < value < inf."""
@@ -100,9 +107,14 @@ def _analysis(c: np.ndarray, rhs: np.ndarray, threshold: float) -> ErrorMatrixRe
 
 
 def normal_system(design: DesignSystem) -> NormalSystem:
-    """Form C = A^T A and b = A^T B from a design system."""
+    """Form C = A^T A and b = A^T B from a design system; ValidationError if either is past the float range."""
     a, b = _design_arrays(design)
-    return NormalSystem(a.T @ a, a.T @ b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, rhs = a.T @ a, a.T @ b
+    for name, m in (("A^T A", c), ("A^T B", rhs)):
+        if not np.isfinite(m).all():
+            raise ValidationError(f"design system: {name} is past the float range")
+    return NormalSystem(c, rhs)
 
 
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
@@ -114,9 +126,9 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
 
 def chi2(design: DesignSystem, params) -> float:
     """Sum of squared residuals of the design equations at ``params``."""
-    a, b = _design_arrays(design)
-    r = a @ _finite_array(params, (N_PARAMS,), "parameters", float) - b
-    return float(r @ r)
+    s, t, e = _scaled(*_design_arrays(design))
+    r = s @ _finite_array(params, (N_PARAMS,), "parameters", float) - t
+    return float(r @ r) * 2.0**e * 2.0**e  # as ``reconstruct`` reports it
 
 
 def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prior=None) -> ReconstructionResult:
@@ -130,10 +142,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
-    # past |a| = 2^500, where A^T A could overflow, a and b are scaled by 2^-e, exact outside the subnormals:
-    # x is unchanged, and eigenvalues and chi^2 are scaled back by 2^2e, to inf past the float range
-    e = max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
-    s, t = (np.ldexp(a, -e), np.ldexp(b, -e)) if e else (a, b)
+    s, t, e = _scaled(a, b)
     report = _analysis(s.T @ s, s.T @ t, threshold)
     held = report.ill_determined
     if e:

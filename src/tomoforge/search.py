@@ -12,15 +12,19 @@ A set is an 18-bit mask, bit 18 - r for read-out r, so descending masks of
 one size are in lexicographic order. Its high and low 9 bits (read-outs 1-9
 and 10-18) index two constant half tables of ids, weight sums (the trace row's
 in the high one) and covers: a set's ids are one tuple concatenation, its
-spectrum one sum of two rows, and the cover of all 2^18 masks one outer OR.
-Only full-rank sets are scored; ranking sorts one array of their smallest
-eigenvalues. The tests check ranks against the singular-value ``matrix_rank``.
+spectrum one sum of two rows and its cover one OR. The full-rank k-sets are
+the hits of outer ORs of the covers of the half masks of sizes a and b, one
+per split a + b = k: C(18, k) pairs, not all 2^18 masks. Only they are scored,
+their reports filled in bulk through the field slots; ranking sorts one array
+of their smallest eigenvalues. The tests check ranks against ``matrix_rank``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
+from operator import add, attrgetter, itemgetter
 
 import numpy as np
 
@@ -30,7 +34,7 @@ _FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
 _HALF = 1 << 9  # half masks: read-outs 1-9 are the high 9 bits of a set's mask, 10-18 the low 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetReport:
     """Rank and conditioning summary of one read-out set (trace row included).
 
@@ -38,6 +42,7 @@ class SetReport:
     The rest is read off the spectrum: ``rank`` is the count of nonzero
     eigenvalues, ``min_eigenvalue`` the last one, and ``full_rank`` is true
     iff that last one is nonzero (every entry is exactly 0 or at least 1/2).
+    The fields are slots, so a report has no ``__dict__`` and no weak references.
     """
 
     ids: tuple
@@ -69,14 +74,17 @@ def _half_tables(first, weights0):
 
 
 (_HI_IDS, _HI_W, _HI_COVER), (_LO_IDS, _LO_W, _LO_COVER) = _half_tables(1, _TRACE_WEIGHTS), _half_tables(10, 0)
-_HALF_SIZES = np.array([len(ids) for ids in _HI_IDS], np.uint8)
+_BY_SIZE = [np.flatnonzero(np.fromiter(map(len, _HI_IDS), int, _HALF) == a)[::-1] for a in range(10)]  # descending
 
 
-def _tables():
-    """Cover and size of every 18-bit mask, the OR and the sum of its halves':
-    the product operators the set and the trace row observe (bit P for column
-    P of the weight table) and the number of read-outs."""
-    return (_HI_COVER[:, None] | _LO_COVER).ravel(), (_HALF_SIZES[:, None] + _HALF_SIZES).ravel()
+def _full_rank_masks(k):
+    """Descending masks of the full-rank k-sets: for each split a + b = k, the pairs of a high half mask of
+    size a and a low one of size b whose covers OR to every product operator."""
+    hits = []
+    for a in range(max(k - 9, 0), min(k, 9) + 1):
+        hi, lo = _BY_SIZE[a], _BY_SIZE[k - a]
+        hits.append(((hi << 9)[:, None] | lo)[(_HI_COVER[hi, None] | _LO_COVER[lo]) == _FULL_COVER])
+    return np.sort(np.concatenate(hits))[::-1]
 
 
 def _spectra(masks):
@@ -97,8 +105,7 @@ def set_report(readouts) -> SetReport:
 
 def minimum_readout_count() -> int:
     """Smallest k for which some k-read-out set has a full-rank design."""
-    cover, sizes = _tables()
-    return int(sizes[cover == _FULL_COVER].min())
+    return next(k for k in range(1, N_READOUTS + 1) if len(_full_rank_masks(k)))
 
 
 def enumerate_minimal_sets(size: int) -> list:
@@ -107,11 +114,13 @@ def enumerate_minimal_sets(size: int) -> list:
     Tests every one of the C(18, size) subsets; deterministic.
     """
     k = _require_int_in_range(size, "set size")
-    cover, sizes = _tables()
-    masks = np.flatnonzero((cover == _FULL_COVER) & (sizes == k))[::-1]
-    del cover, sizes  # freed before the spectra and the reports are built
+    masks = _full_rank_masks(k)
     hi, lo = (masks >> 9).tolist(), (masks & (_HALF - 1)).tolist()
-    return [SetReport(_HI_IDS[h] + _LO_IDS[l], e) for h, l, e in zip(hi, lo, _spectra(masks))]
+    # built in bulk, with no __init__ frame per report: bare objects, then each field through its slot
+    reports = list(map(object.__new__, repeat(SetReport, len(hi))))
+    deque(map(SetReport.ids.__set__, reports, map(add, map(_HI_IDS.__getitem__, hi), map(_LO_IDS.__getitem__, lo))), 0)
+    deque(map(SetReport.eigenvalues.__set__, reports, _spectra(masks)), 0)
+    return reports
 
 
 def rank_sets_by_conditioning(reports) -> list:
@@ -124,6 +133,6 @@ def rank_sets_by_conditioning(reports) -> list:
     keep their input order. Slice the result for the best few.
     """
     ranked = sorted(reports, key=attrgetter("ids"))
-    last = np.fromiter((r.eigenvalues[-1] for r in ranked), float, len(ranked))  # nonzero iff full rank
-    kept = np.flatnonzero(last)
-    return [ranked[k] for k in kept[np.argsort(-last[kept], kind="stable")]]
+    last = np.fromiter(map(itemgetter(-1), map(attrgetter("eigenvalues"), ranked)), float, len(ranked))
+    kept = np.flatnonzero(last)  # nonzero iff full rank
+    return list(map(ranked.__getitem__, kept[np.argsort(-last[kept], kind="stable")].tolist()))

@@ -515,6 +515,41 @@ def test_reconstruct_scales_a_design_near_the_float_limit():
     assert [lam for lam, _ in got.truncated_directions] == [math.ldexp(0.5, 1022)] * 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_normal_system_refuses_a_design_past_the_float_range():
+    # A^T A of the full set scaled by 1e154 or 2^520 overflows: refused as the
+    # design's, without an overflow warning; up to the range, and for ordinary
+    # designs, C and b are A^T A and A^T B bit for bit
+    d = assemble_design(range(1, 19), readings=simulate_readings(np.eye(4) / 4, range(1, 19)))
+    for scale in (1e154, 2.0**520):
+        scaled = DesignSystem(d.matrix * scale, d.rhs, d.row_labels)
+        with pytest.raises(ValidationError, match=r"design system: A\^T A is past the float range"):
+            normal_system(scaled)
+    with pytest.raises(ValidationError, match=r"design system: A\^T B is past the float range"):
+        normal_system(DesignSystem(d.matrix, np.full(len(d.rhs), 1e308), d.row_labels))
+    for k in (0, 510):
+        a, b = np.ldexp(d.matrix, k), np.ldexp(d.rhs, k)
+        ns = normal_system(DesignSystem(a, b, d.row_labels))
+        assert ns.matrix.tobytes() == (a.T @ a).tobytes() and ns.rhs.tobytes() == (a.T @ b).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_chi2_reports_what_reconstruct_reports():
+    # chi2 scales a design past |a| = 2^500 as reconstruct does: at 1e154 it
+    # is reconstruct's chi^2 bit for bit, at 2^520 inf, with no warning; an
+    # ordinary design's is the plain sum of squared residuals
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    d = assemble_design(range(1, 19), readings=simulate_readings(rho, range(1, 19), noise_sigma=0.01, seed=7))
+    x = reconstruct(d).params
+    r = d.matrix @ x - d.rhs
+    assert chi2(d, x) == float(r @ r) == reconstruct(d).chi2
+    for scale in (1e154, 2.0**520):
+        scaled = DesignSystem(d.matrix * scale, d.rhs * scale, d.row_labels)
+        got = reconstruct(scaled)
+        assert chi2(scaled, got.params) == got.chi2
+        assert (got.chi2 == np.inf) == (scale > 1e154)
+
+
 def test_callers_cannot_reach_the_pauli_basis():
     basis = _PAULI_BASIS.copy()
     d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from tomoforge.model import (
     _pauli_eigenvalues,
     matrix_to_params,
 )
-from tomoforge.search import _HI_IDS, _LO_IDS, SetReport, _spectra, _tables
+from tomoforge.search import _HI_COVER, _HI_IDS, _LO_COVER, _LO_IDS, SetReport, _full_rank_masks, _spectra
 
 import goldens
 from conftest import random_hermitian
@@ -63,6 +66,13 @@ def digest(reports):
 
 def popcount(values):
     return np.array([v.bit_count() for v in values.tolist()])
+
+
+def _tables():
+    """The all-masks oracle: the cover of every 18-bit mask, the OR of its
+    halves' (the product operators the set and the trace row observe, bit P
+    for column P of the weight table), and its size, the popcount."""
+    return (_HI_COVER[:, None] | _LO_COVER).ravel(), popcount(np.arange(1 << 18))
 
 
 def assert_read_off_spectrum(report):
@@ -119,6 +129,35 @@ def test_set_report_rejects_bad_ids():
 
 def test_minimum_readout_count_is_five():
     assert minimum_readout_count() == 5
+
+
+def test_split_selection_matches_the_all_masks_oracle():
+    # each size's full-rank masks come from its own half-mask pairs; scanning
+    # every 18-bit mask must find the same ones, in the same descending order
+    cover, sizes = _tables()
+    full = cover == (1 << 16) - 1
+    for k in range(1, 19):
+        np.testing.assert_array_equal(_full_rank_masks(k), np.flatnonzero(full & (sizes == k))[::-1], err_msg=str(k))
+    assert minimum_readout_count() == sizes[full].min() == 5
+
+
+def test_bulk_built_reports_are_plain_reports():
+    # enumerated reports are filled through the field slots, without
+    # __init__; they must be indistinguishable from constructed ones
+    for r in enumerate_minimal_sets(5) + enumerate_minimal_sets(7)[::97]:
+        twin = SetReport(r.ids, r.eigenvalues)
+        assert type(r) is SetReport and repr(r) == repr(twin) and r == twin
+        assert r.eigenvalues.flags.writeable  # a row view of one writeable spectra array
+        for field in ("ids", "eigenvalues"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, field, None)
+        for clone in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(clone) is SetReport and repr(clone) == repr(r) and clone.ids == r.ids
+            assert clone.eigenvalues.tobytes() == r.eigenvalues.tobytes()
+    # slotted: no __dict__, and no weak references
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(r)
 
 
 def test_enumerate_size_four_is_empty():
