@@ -12,17 +12,31 @@ A public function here checks its own arguments once: each array (design
 matrix and rhs, normal rhs, parameters, priors, density matrices) by
 ``errors._finite_array``, so a NaN or a wrong shape is a ValidationError,
 never a NaN result, and each threshold by ``_threshold``. What it builds
-from them and hands on, to ``_analysis`` or to numpy, is not checked again.
+from them and hands on, to ``_decomposition`` or to numpy, is not checked again.
 
-Analysis and reconstruction share one step, ``_analysis``: the exact rule
-``model._pauli_eigenvalues`` gives C's eigenvalues in the 16 two-spin product
-operators for every design ``assemble_design`` builds, ``linalg.sym_eigen``
-decomposes any other C; it projects b and flags the combinations below the
-threshold, and ``reconstruct`` holds those at the prior and solves the rest.
+Analysis and reconstruction share one decomposition step, ``_decomposition``:
+the exact rule ``model._pauli_eigenvalues`` gives C's eigenvalues in the 16
+two-spin product operators for every design ``assemble_design`` builds,
+``linalg.sym_eigen`` decomposes any other C. The analysis projects b and flags
+the combinations below the threshold; ``reconstruct`` holds those at the prior
+and solves the rest.
+
+A design's decomposition does not depend on its readings, so ``reconstruct``
+takes it, with the design's power-of-two scale exponent, from a bounded memo,
+``_design_decomposition``: an ``lru_cache`` of ``MEMO_SIZE`` (8) entries keyed
+by the checked design matrix's bytes and row count, never by ids or row
+labels, so a matrix that differs by one ulp, or was changed in place, is
+decomposed anew. Its eigenvalues and combinations are read-only, and each
+call copies what it hands back. Only the ops on the readings run per call,
+in the order they always did, so a warm call gives the bytes a cold one does.
+This pays where one design is reused across acquisitions, as in a
+Monte-Carlo noise study; a stream of fresh read-out sets, or the CLI's one
+reconstruction per process, misses and costs one key more.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +47,7 @@ from .linalg import _symmetric, sym_eigen
 from .model import _PAULI_BASIS, N_PARAMS, DesignSystem, _pauli_eigenvalues, maximally_mixed_params
 
 DEFAULT_THRESHOLD = 0.001
+MEMO_SIZE = 8  # designs whose decomposition reconstruct keeps
 
 
 @dataclass(frozen=True)
@@ -75,11 +90,15 @@ def _design_arrays(design: DesignSystem):
     return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
 
 
-def _scaled(a, b):
-    """Past |a| = 2^500, where A^T A could overflow, ``a`` and ``b`` scaled by 2^-e, exact outside the subnormals,
-    and e (else e = 0): x is unchanged, and eigenvalues and chi^2 scale back by 2^2e, to inf past the float range."""
-    e = max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
-    return (np.ldexp(a, -e), np.ldexp(b, -e), e) if e else (a, b, 0)
+def _exponent(a) -> int:
+    """Past |a| = 2^500, where A^T A could overflow, the e by which ``_scaled`` divides a design (else 0)."""
+    return max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
+
+
+def _scaled(e: int, *arrays):
+    """``arrays`` (a design's A and B) scaled by 2^-e, exact outside the subnormals: x is unchanged, and
+    eigenvalues and chi^2 scale back by 2^2e, to inf past the float range."""
+    return tuple(np.ldexp(m, -e) for m in arrays) if e else arrays
 
 
 def _threshold(value) -> float:
@@ -93,17 +112,28 @@ def _threshold(value) -> float:
     return t
 
 
-def _analysis(c: np.ndarray, rhs: np.ndarray, threshold: float) -> ErrorMatrixReport:
-    """The report of a checked symmetric ``c``: in the product operators by ``model._pauli_eigenvalues``,
-    ties in ``PAULI_LABELS`` order, or, where that returns None, by ``sym_eigen``."""
+def _decomposition(c: np.ndarray):
+    """Descending eigenvalues and combinations (rows) of a checked symmetric ``c``: in the product operators
+    by ``model._pauli_eigenvalues``, ties in ``PAULI_LABELS`` order, or, where that returns None, by ``sym_eigen``."""
     w = _pauli_eigenvalues(c)
     if w is not None:
         order = np.argsort(-w, kind="stable")
-        w, combos = w[order], _PAULI_BASIS.T[order]
-    else:
-        dec = sym_eigen(c)
-        w, combos = dec.eigenvalues, dec.vectors.T
-    return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)
+        return w[order], _PAULI_BASIS.T[order]
+    dec = sym_eigen(c)
+    return dec.eigenvalues, dec.vectors.T
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _design_decomposition(matrix: bytes, rows: int):
+    """(e, eigenvalues, combinations) of the checked design matrix whose bytes are ``matrix``: its
+    ``_exponent`` and the read-only ``_decomposition`` of its normal matrix, scaled by 2^-2e."""
+    a = np.frombuffer(matrix).reshape(rows, N_PARAMS)
+    e = _exponent(a)
+    (s,) = _scaled(e, a)
+    w, combos = _decomposition(s.T @ s)
+    w.setflags(write=False)
+    combos.setflags(write=False)
+    return e, w, combos
 
 
 def normal_system(design: DesignSystem) -> NormalSystem:
@@ -121,14 +151,20 @@ def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD
     """Diagonalize the normal matrix and flag ill-determined combinations."""
     threshold = _threshold(threshold)
     c = _symmetric(ns.matrix)
-    return _analysis(c, _finite_array(ns.rhs, (len(c),), "normal rhs", float), threshold)
+    rhs = _finite_array(ns.rhs, (len(c),), "normal rhs", float)
+    w, combos = _decomposition(c)
+    return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)
 
 
 def chi2(design: DesignSystem, params) -> float:
-    """Sum of squared residuals of the design equations at ``params``."""
-    s, t, e = _scaled(*_design_arrays(design))
-    r = s @ _finite_array(params, (N_PARAMS,), "parameters", float) - t
-    return float(r @ r) * 2.0**e * 2.0**e  # as ``reconstruct`` reports it
+    """Sum of squared residuals of the design equations at ``params``; inf, without a warning, past the float range."""
+    a, b = _design_arrays(design)
+    x = _finite_array(params, (N_PARAMS,), "parameters", float)
+    e = _exponent(a)
+    s, t = _scaled(e, a, b)
+    with np.errstate(over="ignore"):
+        r = s @ x - t
+        return float(r @ r) * 2.0**e * 2.0**e  # as ``reconstruct`` reports it
 
 
 def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prior=None) -> ReconstructionResult:
@@ -137,29 +173,34 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     Every combination with eigenvalue >= threshold is solved from the data;
     every other combination is held at its value under ``prior`` (default:
     the maximally mixed state). Raises NumericalError when no combination
-    at all clears the threshold.
+    at all clears the threshold or the solution is past the float range, and
+    ValidationError when A^T B is. A chi^2 past the float range is inf.
     """
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
-    s, t, e = _scaled(a, b)
-    report = _analysis(s.T @ s, s.T @ t, threshold)
-    held = report.ill_determined
-    if e:
-        with np.errstate(over="ignore"):
-            held = np.ldexp(report.eigenvalues, 2 * e) < threshold
-    n_held = np.count_nonzero(held)
-    if n_held == N_PARAMS:
-        raise NumericalError(
-            f"no parameter combination is determined at threshold {threshold:g}; "
-            "the design system carries no usable information"
-        )
-    w, combos = report.eigenvalues, report.combinations
-    solved = np.divide(report.projected_rhs, w, out=np.zeros(N_PARAMS), where=~held)
-    x = combos.T @ np.where(held, combos @ prior, solved)
-    r = s @ x - t
-    truncated = tuple((math.ldexp(float(w[k]), 2 * e), combos[k]) for k in np.flatnonzero(held)) if n_held else ()
-    return ReconstructionResult(x, float(r @ r) * 2.0**e * 2.0**e, truncated, prior)
+    e, w, combos = _design_decomposition(a.tobytes(), len(a))
+    s, t = _scaled(e, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = s.T @ t
+        held = (np.ldexp(w, 2 * e) if e else w) < threshold
+        n_held = np.count_nonzero(held)
+        if n_held == N_PARAMS:
+            raise NumericalError(
+                f"no parameter combination is determined at threshold {threshold:g}; "
+                "the design system carries no usable information"
+            )
+        solved = np.divide(combos @ rhs, w, out=np.zeros(N_PARAMS), where=~held)
+        x = combos.T @ np.where(held, combos @ prior, solved)
+        r = s @ x - t
+        rr = float(r @ r)
+    if not math.isfinite(rr):  # a non-finite A^T B or x makes the residual non-finite too
+        if np.count_nonzero(np.isfinite(rhs)) < N_PARAMS:
+            raise ValidationError("design system: A^T B is past the float range")
+        if np.count_nonzero(np.isfinite(x)) < N_PARAMS:
+            raise NumericalError(f"the solution at threshold {threshold:g} is past the float range")
+    truncated = tuple((math.ldexp(float(w[k]), 2 * e), combos[k].copy()) for k in np.flatnonzero(held)) if n_held else ()
+    return ReconstructionResult(x, rr * 2.0**e * 2.0**e, truncated, prior)
 
 
 def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:
@@ -199,6 +240,12 @@ def psd_project(matrix) -> np.ndarray:
     m = _finite_array(matrix, (None, None), "psd_project matrix", complex)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"psd_project needs a square matrix, got shape {m.shape}")
+    # first divided, as in relative_error, by the power of two 2^e that brings the largest real or
+    # imaginary part into [0.5, 1), so neither m + m^H nor the trace can overflow; scaled back at the end
+    m = m.copy()
+    parts = m.view(float)
+    e = math.frexp(np.abs(parts).max())[1]
+    np.ldexp(parts, -e, out=parts)
     h = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(h)
     clipped = np.clip(w, 0.0, None)
@@ -208,4 +255,6 @@ def psd_project(matrix) -> np.ndarray:
     target = float(np.trace(h).real)
     if target > 0.0:
         clipped *= target / total
-    return (v * clipped) @ v.conj().T
+    p = (v * clipped) @ v.conj().T
+    np.ldexp(p.view(float), e, out=p.view(float))
+    return p

@@ -45,6 +45,14 @@ _STRICT = np.triu_indices(4, 1)
 _OFF = _UPPER[0] != _UPPER[1]  # which of x1..x10 are real parts of coherences
 # 0-based parameter slots of the four diagonal entries (x1, x5, x8, x10).
 DIAGONAL_SLOTS = tuple(int(k) for k in np.flatnonzero(~_OFF))
+# Flat indices into a 4x4 matrix of the upper triangle, the strict upper triangle and its mirror,
+# the parameter slots of the coherences' real parts, and where x1..x16 sit among the 32 floats of
+# a flattened complex 4x4 (real part of entry k at 2k, imaginary part at 2k + 1).
+_UPPER_FLAT = np.ravel_multi_index(_UPPER, (4, 4))
+_STRICT_FLAT = np.ravel_multi_index(_STRICT, (4, 4))
+_LOWER_FLAT = np.ravel_multi_index(_STRICT[::-1], (4, 4))
+_RE_SLOTS = np.flatnonzero(_OFF)
+_PARAM_FLOATS = np.concatenate([2 * _UPPER_FLAT, 2 * _STRICT_FLAT + 1])
 _TRACE_ROW = np.isin(np.arange(N_PARAMS), DIAGONAL_SLOTS).astype(float)
 
 _SQ2 = np.sqrt(2.0)
@@ -110,12 +118,12 @@ def params_to_matrix(params) -> np.ndarray:
     x = _finite_array(params, (N_PARAMS,), "parameters", float)
     # the lower triangle is written as re - i*im, not by conj, which would
     # turn a +0.0 imaginary part into -0.0
-    re, im = x[:10][_OFF], x[10:]
-    m = np.zeros((4, 4), dtype=complex)
-    m[_UPPER] = x[:10]
-    m[_STRICT] = re + 1j * im
-    m[_STRICT[::-1]] = re - 1j * im
-    return m
+    re, j = x[_RE_SLOTS], 1j * x[10:]
+    m = np.zeros(16, dtype=complex)
+    m[_UPPER_FLAT] = x[:10]
+    m[_STRICT_FLAT] = re + j
+    m[_LOWER_FLAT] = re - j
+    return m.reshape(4, 4)
 
 
 def _require_hermitian(m: np.ndarray) -> None:
@@ -145,7 +153,7 @@ def matrix_to_params(matrix) -> np.ndarray:
     """
     m = _finite_array(matrix, (4, 4), "matrix", complex)
     _require_hermitian(m)
-    return np.concatenate([m[_UPPER].real, m[_STRICT].imag])
+    return m.ravel().view(float)[_PARAM_FLOATS]
 
 
 _BASIS = np.array([params_to_matrix(e) for e in np.eye(N_PARAMS)])
@@ -218,11 +226,11 @@ def _pauli_eigenvalues(c: np.ndarray):
     if c.shape != (N_PARAMS, N_PARAMS):
         return None
     e = max(math.frexp(float(np.abs(c).max()))[1] - 1020, 0)  # a power of two: exact outside the subnormals
-    g = _FUNCTIONALS.T @ np.ldexp(c, -e) @ _FUNCTIONALS
+    g = _FUNCTIONALS.T @ (np.ldexp(c, -e) if e else c) @ _FUNCTIONALS
     w = g.diagonal() / _FRAME_NORMS
     if np.count_nonzero(g) != np.count_nonzero(w) or not math.ldexp(float(np.abs(w).max()), e - 1024) < 1:
         return None  # not diagonal, or an eigenvalue past the float range once scaled back
-    return np.ldexp(w, e)
+    return np.ldexp(w, e) if e else w
 
 
 # A 90-degree pulse maps each product operator onto another, so a read-out observes four of

@@ -551,6 +551,8 @@ def test_chi2_reports_what_reconstruct_reports():
 
 
 def test_callers_cannot_reach_the_pauli_basis():
+    # nor the memo: the first call is cold, the later ones are warm
+    lsq._design_decomposition.cache_clear()
     basis = _PAULI_BASIS.copy()
     d = assemble_design([1, 2, 3, 4], readings=simulate_readings(np.eye(4) / 4, [1, 2, 3, 4]))
     prior = maximally_mixed_params()  # the default, passed by the caller
@@ -567,6 +569,16 @@ def test_callers_cannot_reach_the_pauli_basis():
     _assert_same_bytes(reconstruct(d, prior=prior), expected)
     np.testing.assert_array_equal(error_matrix_analysis(normal_system(d)).combinations, combos)
     assert _PAULI_BASIS.tobytes() == basis.tobytes() and not _PAULI_BASIS.flags.writeable
+    _, w, cached = lsq._design_decomposition(d.matrix.tobytes(), d.rows)
+    assert lsq._design_decomposition.cache_info().misses == 1
+    for values in (w, cached):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 7.0
+    # each call's truncated directions are its own copies
+    a, b = reconstruct(d), reconstruct(d)
+    assert not np.shares_memory(a.truncated_directions[0][1], b.truncated_directions[0][1])
+    assert not any(np.shares_memory(c, cached) for _, c in a.truncated_directions)
 
 
 def test_hopeless_threshold_raises_on_every_call():
@@ -597,3 +609,130 @@ def test_acquisition_path_is_pinned_bit_for_bit():
                     for norm in ("spectral", "frobenius"):
                         digest.update(repr(relative_error(rebuilt, rho, norm)).encode())
     assert digest.hexdigest() == "69854d2c1cbe0413e92668892830976d1fa07af05df9416b8ec993b8d89b41b4"
+
+
+# ``reconstruct`` takes a design's decomposition from a bounded memo keyed by
+# the bytes of its checked matrix: a warm call must give a cold call's bytes.
+
+
+def _result_bytes(result):
+    truncated = [(np.float64(lam).tobytes(), combo.tobytes()) for lam, combo in result.truncated_directions]
+    return result.params.tobytes(), np.float64(result.chi2).tobytes(), truncated, result.prior_used.tobytes()
+
+
+def test_a_warm_reconstruction_gives_the_cold_bytes():
+    memo = lsq._design_decomposition
+    rng = np.random.default_rng(23)
+    sets = [list(s) for s in goldens.MINIMAL_SETS_5] + [list(range(1, 19)), [1, 2, 3, 4]]
+    for _ in range(200):
+        sets.append(sorted(rng.choice(np.arange(1, 19), size=int(rng.integers(4, 19)), replace=False).tolist()))
+    priors = (None, matrix_to_params(random_trace_one_hermitian(rng)))  # the mixed state, a random one
+    n_truncated = 0
+    for i, ids in enumerate(sets):
+        d = assemble_design(ids, readings=simulate_readings(random_trace_one_hermitian(rng), ids, 0.01, seed=i))
+        w = error_matrix_analysis(normal_system(d)).eigenvalues
+        for threshold in (1e-3, 0.75, w[i % np.count_nonzero(w)]):  # the last: exactly one of its eigenvalues
+            for prior in priors:
+                memo.cache_clear()
+                cold = reconstruct(d, threshold, prior)
+                warm = reconstruct(d, threshold, prior)
+                assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+                assert _result_bytes(warm) == _result_bytes(cold), (ids, threshold)
+                n_truncated += bool(cold.truncated_directions)
+    assert n_truncated > 0
+
+
+def test_the_memo_is_keyed_by_the_matrix_not_the_labels(monkeypatch):
+    calls = _count_sym_eigen(monkeypatch)
+    memo = lsq._design_decomposition
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    ids = goldens.MINIMAL_SETS_5[0]
+    d = assemble_design(ids, readings=simulate_readings(rho, ids, noise_sigma=0.01, seed=3))
+    first = reconstruct(d)
+    # the same row labels over a matrix one ulp away: no longer diagonal in the product operators
+    nudged = d.matrix.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    near = DesignSystem(nudged, d.rhs, d.row_labels)
+    assert near.row_labels == d.row_labels
+    misses = memo.cache_info().misses
+    got = reconstruct(near)
+    assert memo.cache_info().misses == misses + 1 and calls == [1]
+    assert got.params.tobytes() != first.params.tobytes()
+    np.testing.assert_allclose(got.params, first.params, rtol=0, atol=1e-12)
+    assert _result_bytes(reconstruct(d)) == _result_bytes(first)
+    memo.cache_clear()
+    assert _result_bytes(reconstruct(near)) == _result_bytes(got)
+
+
+def test_a_design_changed_in_place_is_decomposed_anew():
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    ids = goldens.MINIMAL_SETS_5[1]
+    d = assemble_design(ids, readings=simulate_readings(rho, ids, noise_sigma=0.01, seed=5))
+    before = reconstruct(d)
+    d.matrix[:4] *= 2.0  # the first read-out's rows, doubled in place
+    after = reconstruct(d)
+    assert after.params.tobytes() != before.params.tobytes()
+    np.testing.assert_allclose(after.params, np.linalg.lstsq(d.matrix, d.rhs, rcond=None)[0], rtol=0, atol=1e-12)
+    lsq._design_decomposition.cache_clear()
+    assert _result_bytes(reconstruct(d)) == _result_bytes(after)
+
+
+def test_the_memo_stays_bounded():
+    memo = lsq._design_decomposition
+    memo.cache_clear()
+    rng = np.random.default_rng(17)
+    seen = set()
+    while len(seen) < 200:
+        ids = tuple(sorted(rng.choice(np.arange(1, 19), size=int(rng.integers(5, 19)), replace=False).tolist()))
+        d = assemble_design(ids, readings=simulate_readings(np.eye(4) / 4, ids))
+        reconstruct(d)
+        seen.add(ids)
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize == lsq.MEMO_SIZE
+    assert memo.cache_info().misses >= 200 and memo.cache_info().currsize == lsq.MEMO_SIZE
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_rhs_near_the_float_limit_is_refused_or_inf_without_a_warning():
+    d = assemble_design(range(1, 19), readings=simulate_readings(np.eye(4) / 4, range(1, 19)))
+    x = reconstruct(d).params
+    # A^T B of an rhs all 1e308 is past the float range: refused as normal_system refuses it
+    big = DesignSystem(d.matrix, np.full(len(d.rhs), 1e308), d.row_labels)
+    for threshold in (DEFAULT_THRESHOLD, 0.75):
+        with pytest.raises(ValidationError, match=r"design system: A\^T B is past the float range"):
+            reconstruct(big, threshold)
+    assert chi2(big, x) == np.inf
+    # A^T B in range, the residual past it: chi^2 is inf, from both
+    large = DesignSystem(d.matrix, np.full(len(d.rhs), 1e300), d.row_labels)
+    got = reconstruct(large)
+    assert np.isfinite(got.params).all() and got.chi2 == chi2(large, got.params) == np.inf
+    # eigenvalues near 2^-400 over an rhs of 1e300: the solution itself is past the float range
+    tiny = DesignSystem(np.ldexp(d.matrix, -200), np.full(len(d.rhs), 1e300), d.row_labels)
+    with pytest.raises(NumericalError, match="past the float range"):
+        reconstruct(tiny, 1e-200)
+
+
+def _unscaled_psd_project(m):
+    """``psd_project`` without its power-of-two scaling, as a reference for ordinary input."""
+    h = 0.5 * (m + m.conj().T)
+    w, v = np.linalg.eigh(h)
+    clipped = np.clip(w, 0.0, None)
+    clipped *= float(np.trace(h).real) / float(clipped.sum())
+    return (v * clipped) @ v.conj().T
+
+
+@pytest.mark.filterwarnings("error")
+def test_psd_project_scales_a_matrix_near_the_float_limit(rng):
+    m = np.diag([1e308, 1e308, -1.0, 0.5])
+    p = psd_project(m)
+    assert np.isfinite(p).all()
+    for e in (1000, 1024, 1030):  # the scaled-down input, scaled back by 2^e
+        down = psd_project(np.ldexp(m, -e))
+        assert p.tobytes() == np.ldexp(down.view(float), e).view(complex).tobytes(), e
+    # ordinary input gives the bits it gave unscaled
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-3, 3)
+        h = a @ a.conj().T - rng.uniform(0, 1) * np.abs(a).max() ** 2 * np.eye(n)
+        if np.trace(h).real > 0:
+            assert psd_project(h).tobytes() == _unscaled_psd_project(h).tobytes()

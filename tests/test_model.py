@@ -103,6 +103,37 @@ def test_real_coherences_format_without_negative_zero():
     assert not np.signbit(m.imag).any()
 
 
+def _triangle_params_to_matrix(x):
+    """The conversion written with the triangle indices and complex temporaries, as a reference."""
+    upper, strict = np.triu_indices(4), np.triu_indices(4, 1)
+    re, im = x[:10][upper[0] != upper[1]], x[10:]
+    m = np.zeros((4, 4), dtype=complex)
+    m[upper] = x[:10]
+    m[strict] = re + 1j * im
+    m[strict[::-1]] = re - 1j * im
+    return m
+
+
+def test_parameter_conversions_match_the_triangle_formula_byte_for_byte(rng):
+    # signed zeros, subnormals and values near the float limit: both
+    # directions give the reference's bytes, signs of zero included
+    big = np.finfo(float).max
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, big, -big, 1e308, -1e308, 0.25, -0.1])
+    cases = [np.zeros(16), np.full(16, -0.0), np.full(16, big), np.full(16, -5e-324)]
+    cases += [rng.choice(pool, size=16) for _ in range(500)]
+    for x in cases:
+        m = params_to_matrix(x)
+        ref = _triangle_params_to_matrix(x)
+        assert m.shape == (4, 4) and m.tobytes() == ref.tobytes(), x
+        back = matrix_to_params(m)
+        assert back.tobytes() == np.concatenate([ref[np.triu_indices(4)].real, ref[np.triu_indices(4, 1)].imag]).tobytes()
+        # a Fortran-ordered copy and a strided view of the same matrix read the same
+        strided = np.zeros((8, 8), dtype=complex)
+        strided[::2, ::2] = m
+        for same in (np.asfortranarray(m), strided[::2, ::2]):
+            assert matrix_to_params(same).tobytes() == back.tobytes()
+
+
 def test_matrix_to_params_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 2] = 0.5
