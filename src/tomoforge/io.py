@@ -2,13 +2,12 @@
 
 Readings file: one record per line, ``readout_id,peak,real,imag``, with
 ``#`` comment lines; header comments may carry ``# key=value`` metadata
-(noise_sigma, seed, source); a key or value with a line break in it is
-rejected. Ids and values are ASCII numbers without digit-group underscores.
-The writer and the parser check every record by the rule
-``assemble_design`` applies, so a file the writer produces is one the parser
-reads. Floats are written with repr, so a write/parse round trip is
-bit-exact. The writers format the whole text before opening the file, so a
-rejected value leaves an existing file as it was.
+(noise_sigma, seed, source); a key or value with a line break in it, or that
+is not UTF-8 text, is rejected. Ids and values are ASCII numbers without
+digit-group underscores. The writer and the parser check every record by the
+rule ``assemble_design`` applies, so a file the writer produces is one the
+parser reads. Floats are written with repr, so a write/parse round trip is
+bit-exact.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
 ``a-bi``. The parser and the writer refuse a matrix whose Hermiticity
@@ -16,13 +15,20 @@ defect exceeds ``model.HERMITICITY_TOL``, the cut ``matrix_to_params``
 applies, so every file the writer produces parses back bit-exactly and
 every matrix the parser returns converts to parameters.
 
-Both readers take UTF-8 text; any other file is a ValidationError.
+Both readers take UTF-8 text; any other file is a ValidationError. The writers
+format and encode the whole text before opening the file, so a rejected value
+leaves an existing file as it was. They overwrite in place, never truncating to
+zero first (on ext4 that, like a replace-by-rename, flushes the file on close:
+``auto_da_alloc`` in the kernel's ext4 admin guide), and cut at the new length.
+Not atomic: a write that fails part-way can leave old bytes past the new text.
 """
 
 from __future__ import annotations
 
 import cmath
+import os
 import re
+import stat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -41,6 +47,15 @@ def _read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path`` in place (see the module docstring)."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe
+            fh.truncate()
 
 
 def parse_readings(text: str) -> list:
@@ -83,15 +98,17 @@ def format_readings(readings: Iterable[Reading], metadata: Optional[dict] = None
         line = f"# {key}={value}"
         if line.splitlines() != [line]:
             raise ValidationError(f"metadata {key!r}={value!r} must not contain a line break")
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"metadata {key!r}={value!r} is not UTF-8 text") from None
         lines.append(line)
     lines += [f"{rid},{peak},{z.real!r},{z.imag!r}" for (rid, peak), z in _reading_values(readings).items()]
     return "\n".join(lines) + "\n"
 
 
 def write_readings(path, readings: Iterable[Reading], metadata: Optional[dict] = None) -> None:
-    text = format_readings(readings, metadata)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, format_readings(readings, metadata))
 
 
 def read_readings(path) -> list:
@@ -144,9 +161,7 @@ def format_density(matrix) -> str:
 
 
 def write_density(path, matrix) -> None:
-    text = format_density(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, format_density(matrix))
 
 
 def read_density(path) -> np.ndarray:

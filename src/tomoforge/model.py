@@ -146,10 +146,10 @@ def _require_hermitian(m: np.ndarray) -> None:
 def matrix_to_params(matrix) -> np.ndarray:
     """Read the 16 real parameters off a Hermitian 4x4 matrix.
 
-    Exact inverse of params_to_matrix: the upper triangle and the diagonal
-    are copied verbatim and the lower triangle is discarded, so input whose
-    Hermiticity defect exceeds ``HERMITICITY_TOL`` is rejected, naming the
-    worst element pair.
+    Exact inverse of params_to_matrix except that a -0.0 coherence part (x2,
+    x3, x4, x6, x7, x9, x11..x16) can come back as +0.0. The upper triangle and
+    the diagonal are copied verbatim and the lower one is discarded, so input
+    whose Hermiticity defect exceeds ``HERMITICITY_TOL`` is rejected (worst pair named).
     """
     m = _finite_array(matrix, (4, 4), "matrix", complex)
     _require_hermitian(m)

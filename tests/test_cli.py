@@ -381,6 +381,31 @@ def test_simulate_rejects_line_break_in_source(capsys, tmp_path):
     assert not readings.exists()
 
 
+def test_simulate_refuses_a_source_path_that_is_not_utf8_and_keeps_the_old_output(capsys, tmp_path):
+    # argv decodes the byte 0xff of a file name to a lone surrogate, which the
+    # UTF-8 metadata line cannot hold
+    good, dens = tmp_path / "rho.txt", tmp_path / os.fsdecode(b"rho\xff.txt")
+    for path in (good, dens):
+        write_density(path, np.eye(4) / 4)
+    out = tmp_path / "out.csv"
+    assert run(capsys, "simulate", "--density", good, "--readouts", "1,2", "--out", out)[0] == 0
+    before = out.read_bytes()
+    code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2,3", "--out", out)
+    assert code == 2 and err.startswith("error: metadata 'source'=") and "not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert out.read_bytes() == before
+
+
+def test_output_path_that_is_a_directory_exits_2(capsys, tmp_path, readings_file):
+    dens = tmp_path / "rho.txt"
+    write_density(dens, np.eye(4) / 4)
+    for argv in (("simulate", "--density", dens, "--readouts", "1,2", "--out", tmp_path),
+                 ("reconstruct", "--readings", readings_file, "--out", tmp_path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert "Is a directory" in err
+
+
 def _with_defect(defect):
     """The maximally mixed state with ``defect`` i in entry (1,2) and 0 in
     its (2,1) partner: a Hermiticity defect of exactly ``defect``."""

@@ -1,10 +1,13 @@
+import os
 import re
+import stat
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tomoforge.io
 from tomoforge import (
     Reading,
     ValidationError,
@@ -117,6 +120,122 @@ def test_failed_write_leaves_existing_file_unchanged(tmp_path):
     with pytest.raises(ValidationError, match="line break"):
         write_readings(path, readings, metadata={"source": "a\nb"})
     assert path.read_bytes() == before
+
+
+def test_metadata_that_is_not_utf8_text_is_refused(tmp_path):
+    # a path argv could not decode holds a lone surrogate, which UTF-8 cannot encode
+    readings = [Reading(1, "left", 0.5 + 0j)]
+    for metadata in ({"source": "rho\udcff.txt"}, {"\ud800": 1}):
+        with pytest.raises(ValidationError, match="not UTF-8 text"):
+            format_readings(readings, metadata=metadata)
+    path = tmp_path / "readings.csv"
+    write_readings(path, readings, metadata={"source": "rho\u00ff.txt"})  # encodable: kept as UTF-8
+    before = path.read_bytes()
+    assert before.startswith("# source=rho\u00ff.txt\n".encode("utf-8"))
+    with pytest.raises(ValidationError, match="not UTF-8 text"):
+        write_readings(path, readings, metadata={"source": "rho\udcff.txt"})
+    assert path.read_bytes() == before
+
+
+def _long_and_short_values():
+    """(writer, long value, short value) for both writers; the long value's
+    text is more than twice as long as the short one's."""
+    rho = goldens.RHO_PREDICTED / np.trace(goldens.RHO_PREDICTED).real
+    long_readings = simulate_readings(rho, range(1, 19), noise_sigma=0.013, seed=5)
+    short_readings = simulate_readings(np.eye(4) / 4, [1])
+    return [(write_readings, long_readings, short_readings), (write_density, rho, np.eye(4) / 4)]
+
+
+def test_overwriting_leaves_exactly_the_new_bytes(tmp_path):
+    for write, long_value, short_value in _long_and_short_values():
+        fresh_long, fresh_short = tmp_path / "fresh_long", tmp_path / "fresh_short"
+        write(fresh_long, long_value)
+        write(fresh_short, short_value)
+        assert len(fresh_long.read_bytes()) > 2 * len(fresh_short.read_bytes())
+        path = tmp_path / "out"
+        write(path, long_value)
+        inode = path.stat().st_ino
+        write(path, short_value)  # shrinks
+        assert path.read_bytes() == fresh_short.read_bytes()
+        write(path, long_value)  # grows
+        assert path.read_bytes() == fresh_long.read_bytes()
+        assert path.stat().st_ino == inode  # overwritten in place, not replaced
+        for f in (fresh_long, fresh_short, path):
+            f.unlink()
+
+
+def test_new_file_mode_matches_open_and_an_existing_mode_is_kept(tmp_path):
+    for mask in (0o022, 0o077, 0o002):
+        old = os.umask(mask)
+        try:
+            reference = tmp_path / f"reference_{mask:o}"
+            with open(reference, "w", encoding="utf-8"):
+                pass
+            for write, value, _ in _long_and_short_values():
+                path = tmp_path / f"{write.__name__}_{mask:o}"
+                write(path, value)
+                assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        finally:
+            os.umask(old)
+    path = tmp_path / "private"
+    write_density(path, np.eye(4) / 4)
+    path.chmod(0o600)
+    write_density(path, goldens.RHO_PREDICTED)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_writing_through_a_symlink_follows_it(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target)  # dangling: the write creates the target, as open(path, "w") does
+    write_density(link, np.eye(4) / 4)
+    assert link.is_symlink() and target.read_text() == format_density(np.eye(4) / 4)
+    write_density(link, goldens.RHO_PREDICTED)
+    assert link.is_symlink() and target.read_text() == format_density(goldens.RHO_PREDICTED)
+
+
+def test_writers_accept_dev_null_and_a_pipe_and_refuse_a_directory(tmp_path):
+    readings = simulate_readings(np.eye(4) / 4, [1, 2])
+    write_readings(os.devnull, readings, metadata={"seed": 0})
+    write_density(os.devnull, goldens.RHO_PREDICTED)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        write_density(fifo, goldens.RHO_PREDICTED)  # a few hundred bytes: fits the pipe buffer
+        assert os.read(reader, 1 << 16) == format_density(goldens.RHO_PREDICTED).encode()
+    finally:
+        os.close(reader)
+    fifo.unlink()
+    with pytest.raises(OSError):
+        write_readings(tmp_path, readings)
+    with pytest.raises(OSError):
+        write_density(tmp_path, goldens.RHO_PREDICTED)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_never_truncate_to_zero_or_rename(tmp_path, monkeypatch):
+    # on ext4 a truncation to zero, or a replace-by-rename, flushes the file
+    # when it is closed; each writer opens once, without O_TRUNC
+    flags = []
+    real_open = tomoforge.io.os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a writer renamed a file")
+
+    monkeypatch.setattr(tomoforge.io.os, "open", recording_open)
+    for name in ("replace", "rename"):
+        monkeypatch.setattr(tomoforge.io.os, name, refuse)
+    for write, long_value, short_value in _long_and_short_values():
+        path = tmp_path / write.__name__
+        for value in (short_value, long_value, short_value):  # new, grown, shrunk
+            before = len(flags)
+            write(path, value)
+            assert len(flags) == before + 1
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_density_round_trip_exact(tmp_path, rng):

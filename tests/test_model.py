@@ -134,6 +134,24 @@ def test_parameter_conversions_match_the_triangle_formula_byte_for_byte(rng):
             assert matrix_to_params(same).tobytes() == back.tobytes()
 
 
+def test_matrix_to_params_inverts_params_to_matrix_bit_for_bit_when_coherences_are_nonzero(rng):
+    big = np.finfo(float).max
+    pool = np.array([5e-324, -5e-324, 2.5e-310, -1e-308, big, -big, 1e308, -1e308, 0.25, -0.1, 1.0, -3.0])
+    coherence = np.ones(16, dtype=bool)
+    coherence[list(DIAGONAL_SLOTS)] = False
+    cases = [rng.normal(size=16) * 10.0 ** rng.integers(-300, 300, size=16) for _ in range(300)]
+    cases += [rng.choice(pool, size=16) for _ in range(300)]
+    cases += [np.where(coherence, x, rng.choice([0.0, -0.0], size=16)) for x in cases[:50]]  # signed zero populations
+    for x in cases:
+        assert np.all(x[coherence] != 0.0)
+        assert matrix_to_params(params_to_matrix(x)).tobytes() == x.tobytes(), x
+    # the documented exception: a -0.0 imaginary coherence part comes back as +0.0
+    x = np.full(16, 0.1)
+    x[10] = -0.0
+    back = matrix_to_params(params_to_matrix(x))
+    assert back[10] == 0.0 and not np.signbit(back[10])
+
+
 def test_matrix_to_params_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 2] = 0.5
