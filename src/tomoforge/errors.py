@@ -1,12 +1,14 @@
 """Exception types shared across the package, ``_finite_array``, the rule
 every public function applies to each array argument, ``_real``, the rule
-for each scalar real-number argument, and ``_ascii_text``, the rule for text
-that holds numbers (file records, CLI flags, the environment).
+for each scalar real-number argument, ``_ascii_text``, the rule for text
+that holds numbers (file records, CLI flags, the environment), and
+``_pow2``, the one power-of-two rule that scales arrays near the float limit.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -65,3 +67,15 @@ def _real(value):
         return float(value)
     except OverflowError:
         return np.inf if value > 0 else -np.inf
+
+
+def _pow2(a: np.ndarray, limit=None):
+    """(a / 2^e, e) for a real array ``a``, exact outside the subnormals. With a ``limit``, e is how far
+    the binary exponent of the largest |entry| passes it, and ``a`` itself comes back when that is 0;
+    without one, e brings the largest |entry| into [0.5, 1), scaling up as well as down."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    if limit is not None:
+        e = max(e - limit, 0)
+        if not e:
+            return a, 0
+    return np.ldexp(a, -e), e

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite_array, _real
+from .errors import NumericalError, ValidationError, _finite_array, _pow2, _real
 from .linalg import _symmetric, sym_eigen
 from .model import _PAULI_BASIS, N_PARAMS, DesignSystem, _pauli_eigenvalues, maximally_mixed_params
 
@@ -90,17 +90,6 @@ def _design_arrays(design: DesignSystem):
     return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
 
 
-def _exponent(a) -> int:
-    """Past |a| = 2^500, where A^T A could overflow, the e by which ``_scaled`` divides a design (else 0)."""
-    return max(math.frexp(float(np.abs(a).max()))[1] - 500, 0)
-
-
-def _scaled(e: int, *arrays):
-    """``arrays`` (a design's A and B) scaled by 2^-e, exact outside the subnormals: x is unchanged, and
-    eigenvalues and chi^2 scale back by 2^2e, to inf past the float range."""
-    return tuple(np.ldexp(m, -e) for m in arrays) if e else arrays
-
-
 def _threshold(value) -> float:
     """The truncation threshold as a float; ValidationError unless it is a real
     number (``errors._real``) with 0 < value < inf."""
@@ -125,11 +114,10 @@ def _decomposition(c: np.ndarray):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _design_decomposition(matrix: bytes, rows: int):
-    """(e, eigenvalues, combinations) of the checked design matrix whose bytes are ``matrix``: its
-    ``_exponent`` and the read-only ``_decomposition`` of its normal matrix, scaled by 2^-2e."""
-    a = np.frombuffer(matrix).reshape(rows, N_PARAMS)
-    e = _exponent(a)
-    (s,) = _scaled(e, a)
+    """(e, eigenvalues, combinations) of the checked design matrix A whose bytes are ``matrix``: the e by which
+    ``_pow2`` scales A past 2^500, where A^T A could overflow (x is unchanged; eigenvalues and chi^2 scale back
+    by 2^2e, to inf past the float range), and the read-only ``_decomposition`` of A^T A / 2^2e."""
+    s, e = _pow2(np.frombuffer(matrix).reshape(rows, N_PARAMS), 500)
     w, combos = _decomposition(s.T @ s)
     w.setflags(write=False)
     combos.setflags(write=False)
@@ -160,10 +148,9 @@ def chi2(design: DesignSystem, params) -> float:
     """Sum of squared residuals of the design equations at ``params``; inf, without a warning, past the float range."""
     a, b = _design_arrays(design)
     x = _finite_array(params, (N_PARAMS,), "parameters", float)
-    e = _exponent(a)
-    s, t = _scaled(e, a, b)
+    s, e = _pow2(a, 500)
     with np.errstate(over="ignore"):
-        r = s @ x - t
+        r = s @ x - np.ldexp(b, -e)
         return float(r @ r) * 2.0**e * 2.0**e  # as ``reconstruct`` reports it
 
 
@@ -180,7 +167,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
     e, w, combos = _design_decomposition(a.tobytes(), len(a))
-    s, t = _scaled(e, a, b)
+    s, t = (np.ldexp(a, -e), np.ldexp(b, -e)) if e else (a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = s.T @ t
         held = (np.ldexp(w, 2 * e) if e else w) < threshold
@@ -218,9 +205,7 @@ def relative_error(rho_exp, rho_ref, norm: str = "spectral") -> float:
         raise ValidationError(f"expected two square matrices of equal shape, got {a.shape} and {b.shape}")
     if norm not in ("spectral", "frobenius"):
         raise ValidationError(f"unknown norm {norm!r}; expected 'spectral' or 'frobenius'")
-    pair = np.array((a, b))
-    parts = pair.view(float)
-    np.ldexp(parts, -math.frexp(np.abs(parts).max())[1], out=parts)
+    pair = _pow2(np.array((a, b)).view(float))[0].view(complex)
     np.subtract(pair[0], pair[1], out=pair[1])  # pair is now (a, a - b)
     if norm == "spectral":
         denom, num = np.linalg.svd(pair, compute_uv=False)[:, 0].tolist()
@@ -242,10 +227,8 @@ def psd_project(matrix) -> np.ndarray:
         raise ValidationError(f"psd_project needs a square matrix, got shape {m.shape}")
     # first divided, as in relative_error, by the power of two 2^e that brings the largest real or
     # imaginary part into [0.5, 1), so neither m + m^H nor the trace can overflow; scaled back at the end
-    m = m.copy()
-    parts = m.view(float)
-    e = math.frexp(np.abs(parts).max())[1]
-    np.ldexp(parts, -e, out=parts)
+    s, e = _pow2(np.ascontiguousarray(m).view(float))
+    m = s.view(complex)
     h = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(h)
     clipped = np.clip(w, 0.0, None)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite_array, _real
+from .errors import NumericalError, ValidationError, _finite_array, _pow2, _real
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -222,11 +222,11 @@ _PAULI_BASIS = _FUNCTIONALS / np.sqrt(_FRAME_NORMS)
 def _pauli_eigenvalues(c: np.ndarray):
     """Eigenvalues of a symmetric ``c`` in ``PAULI_LABELS`` order, diag(G) over F's squared lengths, if
     G = F^T c F (F the integer functionals) has exact zeros off the diagonal; else None. Each column of F
-    sums to 4 in absolute value, so a c past 2^1020, where G could overflow, is first scaled down."""
+    sums to 4 in absolute value, so a c past 2^1020, where G could overflow, is first scaled down (``_pow2``)."""
     if c.shape != (N_PARAMS, N_PARAMS):
         return None
-    e = max(math.frexp(float(np.abs(c).max()))[1] - 1020, 0)  # a power of two: exact outside the subnormals
-    g = _FUNCTIONALS.T @ (np.ldexp(c, -e) if e else c) @ _FUNCTIONALS
+    s, e = _pow2(c, 1020)
+    g = _FUNCTIONALS.T @ s @ _FUNCTIONALS
     w = g.diagonal() / _FRAME_NORMS
     if np.count_nonzero(g) != np.count_nonzero(w) or not math.ldexp(float(np.abs(w).max()), e - 1024) < 1:
         return None  # not diagonal, or an eigenvalue past the float range once scaled back

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tomoforge import ValidationError, assemble_design, matrix_rank, spectral_norm, sym_eigen
+from tomoforge.linalg import RANK_TOL, SYMMETRY_TOL
 
 import goldens
 
@@ -53,6 +54,20 @@ def test_sym_eigen_rejects_bad_input():
         sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValidationError, match="finite"):
         sym_eigen(np.diag([1.0, np.inf]))
+
+
+def test_symmetry_tolerance_is_accepted_and_the_next_float_refused():
+    # the largest |S - S^T| entry of [[0, t], [0, 0]] is exactly t
+    sym_eigen(np.array([[0.0, SYMMETRY_TOL], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="not symmetric"):
+        sym_eigen(np.array([[0.0, np.nextafter(SYMMETRY_TOL, 1)], [0.0, 0.0]]))
+
+
+def test_rank_tolerance_is_not_counted_and_the_next_float_is():
+    at, above = np.diag([1.0, RANK_TOL]), np.diag([1.0, np.nextafter(RANK_TOL, 1)])
+    assert np.linalg.svd(at, compute_uv=False).tolist() == [1.0, RANK_TOL]  # exact singular values
+    assert matrix_rank(at) == 1
+    assert matrix_rank(above) == 2
 
 
 def test_rank_identity_and_single_row():

@@ -256,6 +256,10 @@ def test_psd_project(rng):
     assert np.trace(p).real == pytest.approx(np.trace(m).real, abs=1e-12)
     already = np.eye(4) / 4
     np.testing.assert_allclose(psd_project(already), already, atol=1e-12)
+    # a zero trace keeps the clipped spectrum as it is; no positive mass at all is refused
+    assert np.array_equal(psd_project(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
+    with pytest.raises(NumericalError, match="no positive eigenvalue mass"):
+        psd_project(-np.eye(2))
 
 
 _SETS = st.sampled_from(list(goldens.MINIMAL_SETS_5) + [tuple(range(1, 19))])
@@ -736,3 +740,33 @@ def test_psd_project_scales_a_matrix_near_the_float_limit(rng):
         h = a @ a.conj().T - rng.uniform(0, 1) * np.abs(a).max() ** 2 * np.eye(n)
         if np.trace(h).real > 0:
             assert psd_project(h).tobytes() == _unscaled_psd_project(h).tobytes()
+
+
+def _assert_unwritten(arrays, call):
+    """Run ``call()`` and assert that every one of ``arrays`` keeps its bytes."""
+    before = [a.tobytes() for a in arrays]
+    call()
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaling_never_writes_the_callers_arrays(rng):
+    # below its limit the power-of-two rule hands back its own input, which a caller must not scale or
+    # subtract in place; each array goes in as the dtype its function works in, so it is not copied first
+    rho = random_trace_one_hermitian(rng)
+    other = random_trace_one_hermitian(rng)
+    d = assemble_design(range(1, 19), readings=simulate_readings(rho, range(1, 19)))
+    x = reconstruct(d).params
+    ns = normal_system(d)
+    negative = np.diag([1e308, 1e308, -1.0, 0.5]).astype(complex)
+    # ordinary scale, then past each limit: a 2^511 design, a 2^1020 normal matrix, 1e308 entries
+    for k, e, m, big in ((0, 0, rho, 1.0), (511, 1020, negative, 1e308)):
+        design = DesignSystem(np.ldexp(d.matrix, k), np.ldexp(d.rhs, k), d.row_labels)
+        normal = NormalSystem(np.ldexp(ns.matrix, e), ns.rhs.copy())
+        prior = maximally_mixed_params()
+        a, b = rho * big, other * big
+        _assert_unwritten([m], lambda: psd_project(m))
+        _assert_unwritten([a, b], lambda: relative_error(a, b))
+        _assert_unwritten([design.matrix, design.rhs, prior], lambda: reconstruct(design, prior=prior))
+        _assert_unwritten([design.matrix, design.rhs, x], lambda: chi2(design, x))
+        _assert_unwritten([normal.matrix, normal.rhs], lambda: error_matrix_analysis(normal))

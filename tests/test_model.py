@@ -27,7 +27,7 @@ from tomoforge import (
     set_report,
     simulate_readings,
 )
-from tomoforge.model import PAULI_LABELS, _PAULI_WEIGHTS, _require_int_in_range
+from tomoforge.model import PAULI_LABELS, TRACE_TOL, _PAULI_WEIGHTS, _require_int_in_range
 from conftest import random_hermitian, random_trace_one_hermitian
 
 import goldens
@@ -320,6 +320,8 @@ def test_assemble_validation():
         assemble_design([])
     with pytest.raises(ValidationError, match="duplicate"):
         assemble_design([1, 1, 2])
+    with pytest.raises(ValidationError, match=r"^duplicate read-out ids: \[2, 3\]$"):  # only the duplicates
+        assemble_design([3, 1, 3, 2, 2])
     with pytest.raises(ValidationError, match="1..18"):
         assemble_design([0])
     for bad in (float("nan"), float("inf"), None, "a", "3"):
@@ -444,3 +446,24 @@ def test_simulate_validation():
     rho[0, 1] = rho[1, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         simulate_readings(rho, [1])
+
+
+def _traces_at_the_margin():
+    """(inside, outside) pairs: the largest and the smallest trace within ``TRACE_TOL`` of 1, each with the
+    next float beyond it. 1 + 1e-9 and 1 - 1e-9 are not floats, and t - 1 is exact near 1."""
+    hi, lo = 1.0 + TRACE_TOL, 1.0 - TRACE_TOL
+    while hi - 1.0 > TRACE_TOL:
+        hi = np.nextafter(hi, 0)
+    while 1.0 - lo > TRACE_TOL:
+        lo = np.nextafter(lo, 2)
+    return (hi, np.nextafter(hi, 2)), (lo, np.nextafter(lo, 0))
+
+
+def test_trace_tolerance_is_accepted_and_the_next_float_refused():
+    for inside, outside in _traces_at_the_margin():
+        x_in, x_out = np.zeros(16), np.zeros(16)
+        x_in[DIAGONAL_SLOTS[0]], x_out[DIAGONAL_SLOTS[0]] = inside, outside
+        assert is_trace_normalized(x_in) and not is_trace_normalized(x_out)
+        simulate_readings(params_to_matrix(x_in), [1])
+        with pytest.raises(ValidationError, match="^density matrix must have trace 1"):
+            simulate_readings(params_to_matrix(x_out), [1])
