@@ -55,12 +55,9 @@ def _parse_readout_ids(arg: str) -> list:
     if arg.strip().lower() == "all":
         return list(range(1, N_READOUTS + 1))
     try:
-        ids = [int(_ascii_text(tok)) for tok in arg.split(",") if tok.strip()]
+        return [int(_ascii_text(tok)) for tok in arg.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"could not parse read-out ids from {arg!r}") from None
-    if not ids:
-        raise ValidationError("read-out id list is empty")
-    return ids
 
 
 def _resolve_threshold(flag_value) -> float:

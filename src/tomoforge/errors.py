@@ -70,12 +70,10 @@ def _real(value):
 
 
 def _pow2(a: np.ndarray, limit=None):
-    """(a / 2^e, e) for a real array ``a``, exact outside the subnormals. With a ``limit``, e is how far
-    the binary exponent of the largest |entry| passes it, and ``a`` itself comes back when that is 0;
-    without one, e brings the largest |entry| into [0.5, 1), scaling up as well as down."""
+    """(a / 2^e, e) for a real array ``a``, a new array, exact outside the subnormals. With a ``limit``,
+    e is how far the binary exponent of the largest |entry| passes it, 0 below it; without one, e brings
+    the largest |entry| into [0.5, 1), scaling up as well as down."""
     e = math.frexp(float(np.abs(a).max()))[1]
     if limit is not None:
         e = max(e - limit, 0)
-        if not e:
-            return a, 0
     return np.ldexp(a, -e), e

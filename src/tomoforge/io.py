@@ -145,11 +145,7 @@ def parse_density(text: str) -> np.ndarray:
 
 
 def _format_complex(value: complex) -> str:
-    re_s = repr(float(value.real))
-    im_s = repr(float(value.imag))
-    if not im_s.startswith("-"):
-        im_s = "+" + im_s
-    return f"{re_s}{im_s}i"
+    return f"{float(value.real)!r}{float(value.imag):+}i"  # a float's format with no type is its repr
 
 
 def format_density(matrix) -> str:

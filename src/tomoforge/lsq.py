@@ -22,16 +22,17 @@ the combinations below the threshold; ``reconstruct`` holds those at the prior
 and solves the rest.
 
 A design's decomposition does not depend on its readings, so ``reconstruct``
-takes it, with the design's power-of-two scale exponent, from a bounded memo,
+takes it, with the exponent e by which ``errors._pow2`` scales the design past
+2^``_DESIGN_LIMIT`` (as ``chi2`` does), from a bounded memo,
 ``_design_decomposition``: an ``lru_cache`` of ``MEMO_SIZE`` (8) entries keyed
-by the checked design matrix's bytes and row count, never by ids or row
-labels, so a matrix that differs by one ulp, or was changed in place, is
-decomposed anew. Its eigenvalues and combinations are read-only, and each
-call copies what it hands back. Only the ops on the readings run per call,
-in the order they always did, so a warm call gives the bytes a cold one does.
-This pays where one design is reused across acquisitions, as in a
-Monte-Carlo noise study; a stream of fresh read-out sets, or the CLI's one
-reconstruction per process, misses and costs one key more.
+by the checked design matrix's bytes alone (the row count follows from their
+length), never by ids or row labels, so a matrix that differs by one ulp, or
+was changed in place, is decomposed anew. Its eigenvalues and combinations
+are read-only, and each call copies what it hands back. Only the ops on the
+readings run per call, in the order they always did, so a warm call gives the
+bytes a cold one does. This pays where one design is reused across
+acquisitions, as in a Monte-Carlo noise study; a stream of fresh read-out
+sets, or the CLI's one reconstruction per process, misses and costs one key more.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .model import _PAULI_BASIS, N_PARAMS, DesignSystem, _pauli_eigenvalues, max
 
 DEFAULT_THRESHOLD = 0.001
 MEMO_SIZE = 8  # designs whose decomposition reconstruct keeps
+_DESIGN_LIMIT = 500  # the binary exponent of |A| past which A^T A could overflow, so A is scaled down
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,11 @@ def _decomposition(c: np.ndarray):
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _design_decomposition(matrix: bytes, rows: int):
+def _design_decomposition(matrix: bytes):
     """(e, eigenvalues, combinations) of the checked design matrix A whose bytes are ``matrix``: the e by which
-    ``_pow2`` scales A past 2^500, where A^T A could overflow (x is unchanged; eigenvalues and chi^2 scale back
-    by 2^2e, to inf past the float range), and the read-only ``_decomposition`` of A^T A / 2^2e."""
-    s, e = _pow2(np.frombuffer(matrix).reshape(rows, N_PARAMS), 500)
+    ``_pow2`` scales A past 2^``_DESIGN_LIMIT`` (x is unchanged; eigenvalues and chi^2 scale back by 2^2e, to inf
+    past the float range), and the read-only ``_decomposition`` of A^T A / 2^2e."""
+    s, e = _pow2(np.frombuffer(matrix).reshape(-1, N_PARAMS), _DESIGN_LIMIT)
     w, combos = _decomposition(s.T @ s)
     w.setflags(write=False)
     combos.setflags(write=False)
@@ -148,7 +150,7 @@ def chi2(design: DesignSystem, params) -> float:
     """Sum of squared residuals of the design equations at ``params``; inf, without a warning, past the float range."""
     a, b = _design_arrays(design)
     x = _finite_array(params, (N_PARAMS,), "parameters", float)
-    s, e = _pow2(a, 500)
+    s, e = _pow2(a, _DESIGN_LIMIT)
     with np.errstate(over="ignore"):
         r = s @ x - np.ldexp(b, -e)
         return float(r @ r) * 2.0**e * 2.0**e  # as ``reconstruct`` reports it
@@ -166,7 +168,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
-    e, w, combos = _design_decomposition(a.tobytes(), len(a))
+    e, w, combos = _design_decomposition(a.tobytes())
     s, t = (np.ldexp(a, -e), np.ldexp(b, -e)) if e else (a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = s.T @ t

@@ -230,7 +230,7 @@ def _pauli_eigenvalues(c: np.ndarray):
     w = g.diagonal() / _FRAME_NORMS
     if np.count_nonzero(g) != np.count_nonzero(w) or not math.ldexp(float(np.abs(w).max()), e - 1024) < 1:
         return None  # not diagonal, or an eigenvalue past the float range once scaled back
-    return np.ldexp(w, e) if e else w
+    return np.ldexp(w, e)
 
 
 # A 90-degree pulse maps each product operator onto another, so a read-out observes four of

@@ -157,6 +157,11 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path, monkeypatch):
     dens = tmp_path / "in.txt"
     write_density(dens, np.eye(4) / 4)
     readings = tmp_path / "r.csv"
+    # an empty id list is refused by the library's one read-out set rule
+    for argv in (("analyze",), ("simulate", "--density", dens, "--out", readings)):
+        code, _, err = run(capsys, *argv, "--readouts", ",")
+        assert code == 2 and err == "error: read-out set must not be empty\n"
+    assert not readings.exists()
     for noise in ("nan", "inf"):
         code, _, err = run(capsys, "simulate", "--density", dens, "--readouts", "1,2",
                            "--noise", noise, "--out", readings)

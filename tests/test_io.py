@@ -293,6 +293,22 @@ def test_density_format_examples():
     header = format_readings([Reading(1, "left", 0.31 + 0j)], metadata={"seed": 3})
     assert header.splitlines()[0] == "# seed=3"
     assert header.splitlines()[1] == "1,left,0.31,0.0"
+    # signed zeros, the smallest subnormal, and where repr switches to and from exponent notation
+    c = complex
+    edge = np.array([
+        [c(1e16, 0.0), c(5e-324, -1e-05), c(-0.0, -0.0), c(-1e-05, 0.0)],
+        [c(5e-324, 1e-05), c(-1e-05, -0.0), c(0.25, 5e-324), c(0.0, -1e16)],
+        [c(-0.0, 0.0), c(0.25, -5e-324), c(0.0, 0.0), c(1e16, -0.0)],
+        [c(-1e-05, -0.0), c(0.0, 1e16), c(1e16, 0.0), c(5e-324, -0.0)],
+    ])
+    text = format_density(edge)
+    assert text == (
+        "1e+16+0.0i 5e-324-1e-05i -0.0-0.0i -1e-05+0.0i\n"
+        "5e-324+1e-05i -1e-05-0.0i 0.25+5e-324i 0.0-1e+16i\n"
+        "-0.0+0.0i 0.25-5e-324i 0.0+0.0i 1e+16-0.0i\n"
+        "-1e-05-0.0i 0.0+1e+16i 1e+16+0.0i 5e-324-0.0i\n"
+    )
+    assert parse_density(text).tobytes() == edge.tobytes()
 
 
 def _bits(readings):

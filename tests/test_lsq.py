@@ -246,6 +246,9 @@ def test_relative_error_options_and_validation():
         relative_error(a, b, norm="nuclear")
     with pytest.raises(ValidationError, match="zero"):
         relative_error(np.zeros((4, 4)), b)
+    for x, y in ((a, np.eye(3)), (np.ones((4, 3)), np.ones((4, 3)))):
+        with pytest.raises(ValidationError, match="expected two square matrices"):
+            relative_error(x, y)
 
 
 def test_psd_project(rng):
@@ -260,6 +263,8 @@ def test_psd_project(rng):
     assert np.array_equal(psd_project(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]))
     with pytest.raises(NumericalError, match="no positive eigenvalue mass"):
         psd_project(-np.eye(2))
+    with pytest.raises(ValidationError, match="needs a square matrix"):
+        psd_project(np.ones((4, 3)))
 
 
 _SETS = st.sampled_from(list(goldens.MINIMAL_SETS_5) + [tuple(range(1, 19))])
@@ -573,7 +578,7 @@ def test_callers_cannot_reach_the_pauli_basis():
     _assert_same_bytes(reconstruct(d, prior=prior), expected)
     np.testing.assert_array_equal(error_matrix_analysis(normal_system(d)).combinations, combos)
     assert _PAULI_BASIS.tobytes() == basis.tobytes() and not _PAULI_BASIS.flags.writeable
-    _, w, cached = lsq._design_decomposition(d.matrix.tobytes(), d.rows)
+    _, w, cached = lsq._design_decomposition(d.matrix.tobytes())
     assert lsq._design_decomposition.cache_info().misses == 1
     for values in (w, cached):
         assert not values.flags.writeable
@@ -751,8 +756,9 @@ def _assert_unwritten(arrays, call):
 
 @pytest.mark.filterwarnings("error")
 def test_scaling_never_writes_the_callers_arrays(rng):
-    # below its limit the power-of-two rule hands back its own input, which a caller must not scale or
-    # subtract in place; each array goes in as the dtype its function works in, so it is not copied first
+    # below its limit reconstruct skips the power-of-two rule and works on the caller's own arrays, which
+    # it must not scale or subtract in place; each array goes in as the dtype its function works in, so it
+    # is not copied first
     rho = random_trace_one_hermitian(rng)
     other = random_trace_one_hermitian(rng)
     d = assemble_design(range(1, 19), readings=simulate_readings(rho, range(1, 19)))
