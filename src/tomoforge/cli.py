@@ -75,9 +75,8 @@ def _resolve_threshold(flag_value) -> float:
 
 
 def _combination_terms(coeffs) -> str:
-    # a built design's combinations are product operators: zeros are exact
-    terms = [f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if c]
-    return " ".join(terms) if terms else "0"
+    # a built design's combinations are product operators: zeros are exact; a unit vector has a nonzero term
+    return " ".join(f"{c:+.4f} x{k + 1}" for k, c in enumerate(coeffs) if c)
 
 
 def _cmd_analyze(args) -> int:

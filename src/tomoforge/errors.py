@@ -1,8 +1,7 @@
-"""Exception types shared across the package, ``_finite_array``, the rule
-every public function applies to each array argument, ``_real``, the rule
-for each scalar real-number argument, ``_ascii_text``, the rule for text
-that holds numbers (file records, CLI flags, the environment), and
-``_pow2``, the one power-of-two rule that scales arrays near the float limit.
+"""Exception types and the rules shared across the package: ``_finite_array``
+for each array argument of a public function, ``_real`` for each real scalar,
+``_ascii_text`` for text that holds numbers (records, flags, the environment),
+``_pow2`` to scale arrays near the float limit, ``_read_only`` to freeze tables.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (bad input),
 NumericalError -> 1 (the computation itself could not proceed).
@@ -77,3 +76,12 @@ def _pow2(a: np.ndarray, limit=None):
     if limit is not None:
         e = max(e - limit, 0)
     return np.ldexp(a, -e), e
+
+
+def _read_only(*values) -> tuple:
+    """``values``, with every array among them, or in a dict, tuple or list among them, made read-only."""
+    for v in values:
+        for a in v.values() if isinstance(v, dict) else v if isinstance(v, (tuple, list)) else (v,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+    return values

@@ -10,10 +10,10 @@ parser reads. Floats are written with repr, so a write/parse round trip is
 bit-exact.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
-``a-bi``. The parser and the writer refuse a matrix whose Hermiticity
-defect exceeds ``model.HERMITICITY_TOL``, the cut ``matrix_to_params``
-applies, so every file the writer produces parses back bit-exactly and
-every matrix the parser returns converts to parameters.
+``a-bi``, blank and ``#`` lines skipped. The parser and the writer refuse a
+matrix whose Hermiticity defect exceeds ``model.HERMITICITY_TOL``, the cut
+``matrix_to_params`` applies, so every file the writer produces parses back
+bit-exactly and every matrix the parser returns converts to parameters.
 
 Both readers take UTF-8 text; any other file is a ValidationError. The writers
 format and encode the whole text before opening the file, so a rejected value

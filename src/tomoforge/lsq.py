@@ -27,12 +27,13 @@ takes it, with the exponent e by which ``errors._pow2`` scales the design past
 ``_design_decomposition``: an ``lru_cache`` of ``MEMO_SIZE`` (8) entries keyed
 by the checked design matrix's bytes alone (the row count follows from their
 length), never by ids or row labels, so a matrix that differs by one ulp, or
-was changed in place, is decomposed anew. Its eigenvalues and combinations
-are read-only, and each call copies what it hands back. Only the ops on the
-readings run per call, in the order they always did, so a warm call gives the
-bytes a cold one does. This pays where one design is reused across
-acquisitions, as in a Monte-Carlo noise study; a stream of fresh read-out
-sets, or the CLI's one reconstruction per process, misses and costs one key more.
+was changed in place, is decomposed anew. It also holds the eigenvalues scaled
+back by 2^2e, as ``reconstruct`` reports them. All of it is read-only, and each
+call copies what it hands back. Only the ops on the readings run per call, in
+the order they always did, so a warm call gives the bytes a cold one does. This
+pays where one design is reused across acquisitions, as in a Monte-Carlo noise
+study; a stream of fresh read-out sets, or the CLI's one reconstruction per
+process, misses and costs one key more.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite_array, _pow2, _real
+from .errors import NumericalError, ValidationError, _finite_array, _pow2, _read_only, _real
 from .linalg import _symmetric, sym_eigen
 from .model import _PAULI_BASIS, N_PARAMS, DesignSystem, _pauli_eigenvalues, maximally_mixed_params
 
@@ -116,14 +117,13 @@ def _decomposition(c: np.ndarray):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _design_decomposition(matrix: bytes):
-    """(e, eigenvalues, combinations) of the checked design matrix A whose bytes are ``matrix``: the e by which
-    ``_pow2`` scales A past 2^``_DESIGN_LIMIT`` (x is unchanged; eigenvalues and chi^2 scale back by 2^2e, to inf
-    past the float range), and the read-only ``_decomposition`` of A^T A / 2^2e."""
+    """(e, eigenvalues, reported eigenvalues, combinations), read-only, of the checked design matrix A whose bytes
+    are ``matrix``: the e by which ``_pow2`` scales A past 2^``_DESIGN_LIMIT`` (x is unchanged; chi^2 scales back by
+    2^2e), the ``_decomposition`` of A^T A / 2^2e, and its eigenvalues scaled back by 2^2e, to inf past the float range."""
     s, e = _pow2(np.frombuffer(matrix).reshape(-1, N_PARAMS), _DESIGN_LIMIT)
     w, combos = _decomposition(s.T @ s)
-    w.setflags(write=False)
-    combos.setflags(write=False)
-    return e, w, combos
+    with np.errstate(over="ignore"):
+        return _read_only(e, w, np.ldexp(w, 2 * e), combos)
 
 
 def normal_system(design: DesignSystem) -> NormalSystem:
@@ -168,11 +168,11 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
     a, b = _design_arrays(design)
     threshold = _threshold(threshold)
     prior = maximally_mixed_params() if prior is None else _finite_array(prior, (N_PARAMS,), "prior", float).copy()
-    e, w, combos = _design_decomposition(a.tobytes())
+    e, w, reported, combos = _design_decomposition(a.tobytes())
     s, t = (np.ldexp(a, -e), np.ldexp(b, -e)) if e else (a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = s.T @ t
-        held = (np.ldexp(w, 2 * e) if e else w) < threshold
+        held = reported < threshold
         n_held = np.count_nonzero(held)
         if n_held == N_PARAMS:
             raise NumericalError(
@@ -188,7 +188,7 @@ def reconstruct(design: DesignSystem, threshold: float = DEFAULT_THRESHOLD, prio
             raise ValidationError("design system: A^T B is past the float range")
         if np.count_nonzero(np.isfinite(x)) < N_PARAMS:
             raise NumericalError(f"the solution at threshold {threshold:g} is past the float range")
-    truncated = tuple((math.ldexp(float(w[k]), 2 * e), combos[k].copy()) for k in np.flatnonzero(held)) if n_held else ()
+    truncated = tuple((float(reported[k]), combos[k].copy()) for k in np.flatnonzero(held)) if n_held else ()
     return ReconstructionResult(x, rr * 2.0**e * 2.0**e, truncated, prior)
 
 

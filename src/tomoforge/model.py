@@ -17,6 +17,9 @@ acquisition in the order above, ids 10-18 the same rotations with P
 acquisition. Every peak yields a real and an imaginary equation that are
 linear in x, so a read-out contributes four rows to the design system; an
 optional trace row (x1 + x5 + x8 + x10 = 1) fixes normalization.
+
+Every table here is computed once, at import, and then made read-only, arrays in
+a dict or tuple too, by one ``errors._read_only`` call after the last of them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _finite_array, _pow2, _real
+from .errors import NumericalError, ValidationError, _finite_array, _pow2, _read_only, _real
 
 ROTATION_LABELS = ("II", "IX", "IY", "XI", "XX", "XY", "YI", "YX", "YY")
 N_READOUTS = 18
@@ -60,17 +63,7 @@ _SQ2 = np.sqrt(2.0)
 _HALF_TURN_X = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / _SQ2
 _HALF_TURN_Y = np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQ2
 _SINGLE_SPIN = {"I": np.eye(2, dtype=complex), "X": _HALF_TURN_X, "Y": _HALF_TURN_Y}
-
-def _build_rotations() -> dict:
-    mats = {}
-    for label in ROTATION_LABELS:
-        m = np.kron(_SINGLE_SPIN[label[0]], _SINGLE_SPIN[label[1]])
-        m.setflags(write=False)
-        mats[label] = m
-    return mats
-
-
-_ROTATIONS = _build_rotations()
+_ROTATIONS = {label: np.kron(_SINGLE_SPIN[label[0]], _SINGLE_SPIN[label[1]]) for label in ROTATION_LABELS}
 
 
 def rotation_matrix(label: str) -> np.ndarray:
@@ -157,7 +150,6 @@ def matrix_to_params(matrix) -> np.ndarray:
 
 
 _BASIS = np.array([params_to_matrix(e) for e in np.eye(N_PARAMS)])
-_BASIS.setflags(write=False)
 
 
 def maximally_mixed_params() -> np.ndarray:
@@ -198,9 +190,7 @@ def _build_rows():
     # Each rotation is K / sqrt(2)^n with Gaussian-integer K and n <= 2, and each
     # basis matrix has entries in {0, +-1, +-i}, so every coefficient of
     # R B R^H is an exact multiple of 1/4: rounding removes the float dust.
-    rows = np.round(4 * rows) / 4
-    rows.setflags(write=False)
-    return rows, tuple(labels)
+    return np.round(4 * rows) / 4, tuple(labels)
 
 
 _ROWS, _ROW_LABELS = _build_rows()
@@ -241,8 +231,7 @@ def _pauli_eigenvalues(c: np.ndarray):
 if any(w is None for w in (*_PAULI_WEIGHTS, _TRACE_WEIGHTS)):
     raise NumericalError("a read-out's Gram block is not diagonal in the product-operator basis")
 _PAULI_WEIGHTS = np.array(_PAULI_WEIGHTS)
-for _table in (_FUNCTIONALS, _FRAME_NORMS, _PAULI_BASIS, _PAULI_WEIGHTS, _TRACE_WEIGHTS):
-    _table.setflags(write=False)
+_read_only(*globals().values())  # every table above: read-only from here on
 
 
 def readout_rows(readout: int):

@@ -17,17 +17,19 @@ the hits of outer ORs of the covers of the half masks of sizes a and b, one
 per split a + b = k: C(18, k) pairs, not all 2^18 masks. Only they are scored,
 their reports filled in bulk through the field slots; ranking sorts one array
 of their smallest eigenvalues. The tests check ranks against ``matrix_rank``.
+Every table here is made read-only at import by one ``errors._read_only`` call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, attrgetter, itemgetter
 
 import numpy as np
 
+from .errors import _read_only
 from .model import N_PARAMS, N_READOUTS, _PAULI_WEIGHTS, _TRACE_WEIGHTS, _require_int_in_range, _validated_ids
 
 _FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
@@ -38,15 +40,15 @@ _HALF = 1 << 9  # half masks: read-outs 1-9 are the high 9 bits of a set's mask,
 class SetReport:
     """Rank and conditioning summary of one read-out set (trace row included).
 
-    Stores only the ascending ids and the descending normal-matrix spectrum.
-    The rest is read off the spectrum: ``rank`` is the count of nonzero
-    eigenvalues, ``min_eigenvalue`` the last one, and ``full_rank`` is true
-    iff that last one is nonzero (every entry is exactly 0 or at least 1/2).
-    The fields are slots, so a report has no ``__dict__`` and no weak references.
+    Stores only the ascending ids and the descending normal-matrix spectrum. The rest is read off
+    the spectrum: ``rank`` is the count of nonzero eigenvalues, ``min_eigenvalue`` the last one, and
+    ``full_rank`` is true iff that last one is nonzero (every entry is exactly 0 or at least 1/2).
+    The spectrum follows from the ids, so equality and hashing go by ids alone. The fields are
+    slots, so a report has no ``__dict__`` and no weak references.
     """
 
     ids: tuple
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray = field(compare=False)
 
     @property
     def rank(self) -> int:
@@ -69,12 +71,12 @@ def _half_tables(first, weights0):
         r = first + 8 - b
         ids += [(r, *rest) for rest in ids]
         np.add(weights[:1 << b], _PAULI_WEIGHTS[r - 1], out=weights[1 << b:2 << b])
-    weights.setflags(write=False)
     return tuple(ids), weights, (weights != 0) @ (1 << np.arange(N_PARAMS, dtype=np.uint16))
 
 
 (_HI_IDS, _HI_W, _HI_COVER), (_LO_IDS, _LO_W, _LO_COVER) = _half_tables(1, _TRACE_WEIGHTS), _half_tables(10, 0)
 _BY_SIZE = [np.flatnonzero(np.fromiter(map(len, _HI_IDS), int, _HALF) == a)[::-1] for a in range(10)]  # descending
+_read_only(*globals().values())
 
 
 def _full_rank_masks(k):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -150,6 +151,9 @@ def test_reconstruct_with_psd_projection(capsys, tmp_path):
 def test_exit_code_2_on_bad_input(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "analyze", "--readouts", "1,99")
     assert code == 2 and "error:" in err
+    for readouts in ("1,x", "1,2.5"):
+        code, out, err = run(capsys, "analyze", "--readouts", readouts)
+        assert (code, out, err) == (2, "", f"error: could not parse read-out ids from {readouts!r}\n")
     code, _, err = run(capsys, "compare", "--a", tmp_path / "missing.txt", "--b", tmp_path / "missing.txt")
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--size", "30")
@@ -467,3 +471,65 @@ def test_density_defect_just_above_the_cut_is_refused_everywhere(capsys, tmp_pat
         with pytest.raises(ValidationError, match=pair):
             refuse(arg)
     _assert_refused_by_every_command(_density_commands(capsys, tmp_path, readings_file, rho))
+
+
+# The printed output is pinned byte for byte, in process, by the digests the CI workflow checks in fresh
+# processes: a dropped line, loop or branch changes a digest.
+_PINNED_OUTPUT = [
+    ("95e7a76c8cb0032e886c4ac20d394e00d3f905b9e29390f5f4d3abf5a9f2c119", "enumerate --size 7 --format csv"),
+    ("b5867c279421b350c815b64f8685d0b518da65f82f15020f35b9d4c95825c878",
+     "enumerate --size 6 --rank-by-conditioning --format csv"),
+    ("7929c0127613ce056cbd863d41621bc864e9d8e3ac97e5471f467c64051e5dc0", "enumerate --size 5"),
+    ("b801a70d7e3bee235af4a73cdc82348d055f014d851ff644fef415c5bfa94ee7", "enumerate --size 7 --rank-by-conditioning"),
+    ("086db9b1082b9b270a9d4cd81a342eabd5ddb94bec35fba9cae3146e9f49c225",
+     "enumerate --size 5 --rank-by-conditioning --format csv"),
+    ("3b0726075e341433c6561cf6754496fb06707e9740e2b2737a3d9e7da568a2e6",
+     "enumerate --size 9 --rank-by-conditioning --format csv"),
+    ("92a2e31df0cfa956b9b8b141cc58a9c8a363001220e799193a158536d3b76555", "enumerate --size 12"),
+    ("803a9eb96e3b273904e323798d9e6bc24e8119ae5f4eddd44587459c501379d7", "enumerate --size 10 --format csv"),
+    ("e963b9c286a3966bdffb1606e231502c9c0658189465b67202998df5086b6864", "enumerate --size 17"),
+    ("139dff41f2f30026a13a0dcc5e8145a9d02670a731f1ca801a0f74e69eaa38dd",
+     "enumerate --size 8 --rank-by-conditioning --format csv"),
+    ("074f08f472ffeb1abef5f57863337df90302ff1a8434932271288af5f931a639", "analyze --readouts all --format csv"),
+    ("06259b26085ef3043b80ee136756ebe1765f00d76f8c3fc3cbb9e16449b98546", "analyze --readouts 1,2,6,12,13"),
+    ("022324de7519e7a00ac0a91a26fba6d7538c9c9e5da7ce3cfd79866eddd2fd93", "analyze --readouts 1,2,3,4 --format csv"),
+    ("ebff7604f86dccd7b88a389ae6fe739e623010747c8de94330ee8ed52f7ad31a", "analyze --readouts all --no-trace"),
+    ("ba54db595cb1ab2fe9c155b1cf2ea59e9bb8b4607dcc3567d064638f6b8c9ef0",
+     "analyze --readouts all --no-trace --format csv"),
+]
+
+
+def _sha256(data: bytes):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("digest, argv", _PINNED_OUTPUT, ids=[argv for _, argv in _PINNED_OUTPUT])
+def test_printed_output_is_pinned(capsys, monkeypatch, digest, argv):
+    monkeypatch.delenv("TOMOFORGE_THRESHOLD", raising=False)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err, _sha256(out.encode())) == (0, "", digest)
+
+
+def test_seeded_acquisition_is_pinned(capsys, monkeypatch, tmp_path):
+    # the CI workflow's seeded acquisition, with its relative file names, since the report prints them
+    monkeypatch.delenv("TOMOFORGE_THRESHOLD", raising=False)
+    monkeypatch.chdir(tmp_path)
+    rows = ("0.4+0.0i 0.1-0.05i 0.0+0.0i 0.02+0.0i", "0.1+0.05i 0.3+0.0i 0.0+0.01i 0.0+0.0i",
+            "0.0+0.0i 0.0-0.01i 0.2+0.0i 0.05+0.0i", "0.02+0.0i 0.0+0.0i 0.05+0.0i 0.1+0.0i")
+    Path("rho.txt").write_text("".join(row + "\n" for row in rows))
+    run(capsys, *"simulate --density rho.txt --readouts 1,2,6,12,13 --noise 0.01 --seed 7 --out readings.csv".split())
+    printed = {}
+    for out, flags in (("rec.txt", ()), ("rec75.txt", ("--threshold", "0.75")), ("recpsd.txt", ("--psd-project",))):
+        code, printed[out], _ = run(capsys, "reconstruct", "--readings", "readings.csv", *flags, "--out", out)
+        assert code == 0
+    assert {name: _sha256(text.encode()) for name, text in printed.items()} == {
+        "rec.txt": "f2be7dbe58072d053835143af58fa019c96c83c8092daa2221a08b03fc578647",
+        "rec75.txt": "7ac108ffb674feb23016f59fe076b20a3710acfacab82208c6945b9afff9e0d9",
+        "recpsd.txt": "9aba82d5bf7bfe90fcba830aa4c48eb2951a1691085409f3064b8cceaadd0b9b",
+    }
+    assert {name: _sha256(Path(name).read_bytes()) for name in ("readings.csv", *printed)} == {
+        "readings.csv": "40463f090fc9efb1fa0da3e05695a2ffbaa790a14bf9dfefda0050a9f324c5fb",
+        "rec.txt": "663a6e84b4ec40a96126bae63d83201df1ce672c3d2692e5ed57beb943a45a53",
+        "rec75.txt": "99191ffb14fabfe8b2dcb04a6845c8e45ae1f0de61a7994adf35d2d012750dc4",
+        "recpsd.txt": "8c550848f0f0ad1cc42e4ed0f9c129677a94b275d8f3d0ea18aede8b07b9ab72",
+    }

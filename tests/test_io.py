@@ -250,6 +250,10 @@ def test_density_round_trip_exact(tmp_path, rng):
 def test_density_parse_golden_predicted_state():
     text = format_density(goldens.RHO_PREDICTED)
     np.testing.assert_array_equal(parse_density(text), goldens.RHO_PREDICTED)
+    # blank lines and '#' lines are skipped
+    rows = text.splitlines()
+    spaced = "# predicted state\n" + rows[0] + "\n\n" + rows[1] + "\n   \n  # a note\n" + "\n".join(rows[2:]) + "\n\n"
+    assert parse_density(spaced).tobytes() == goldens.RHO_PREDICTED.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -277,6 +281,8 @@ def test_density_shape_and_literal_errors():
         parse_density("0+0i 0+0i 0+0i 0+0i\n" * 3)
     with pytest.raises(ValidationError, match="4 entries"):
         parse_density("0+0i 0+0i 0+0i\n" * 4)
+    with pytest.raises(ValidationError, match="^line 3: expected 4 entries"):  # skipped lines are counted
+        parse_density("# comment\n\n0+0i\n")
     bad = "1+0i 0+0i 0+0i 0+$i\n" + "0+0i 1+0i 0+0i 0+0i\n" * 3
     with pytest.raises(ValidationError, match="unparseable"):
         parse_density(bad)

@@ -578,9 +578,9 @@ def test_callers_cannot_reach_the_pauli_basis():
     _assert_same_bytes(reconstruct(d, prior=prior), expected)
     np.testing.assert_array_equal(error_matrix_analysis(normal_system(d)).combinations, combos)
     assert _PAULI_BASIS.tobytes() == basis.tobytes() and not _PAULI_BASIS.flags.writeable
-    _, w, cached = lsq._design_decomposition(d.matrix.tobytes())
+    _, w, reported, cached = lsq._design_decomposition(d.matrix.tobytes())
     assert lsq._design_decomposition.cache_info().misses == 1
-    for values in (w, cached):
+    for values in (w, reported, cached):
         assert not values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 7.0

@@ -7,6 +7,7 @@ from tomoforge import (
     DIAGONAL_SLOTS,
     ROTATION_LABELS,
     TRACE_LABEL,
+    DesignSystem,
     Reading,
     ValidationError,
     apply_rotation,
@@ -287,7 +288,9 @@ def test_design_shape_and_order():
     assert d.rhs.shape == (73,)
     assert d.row_labels[-1] == TRACE_LABEL
     assert d.row_labels[:4] == ((1, "left", "re"), (1, "left", "im"), (1, "right", "re"), (1, "right", "im"))
-    assert d.has_trace_row()
+    assert d.has_trace_row() is True
+    assert assemble_design([1, 2], include_trace=False).has_trace_row() is False
+    assert DesignSystem(np.zeros((0, 16)), np.zeros(0), ()).has_trace_row() is False  # no rows, no failure
     # trace row: ones on the diagonal slots, rhs 1
     np.testing.assert_array_equal(np.flatnonzero(d.matrix[-1]), list(DIAGONAL_SLOTS))
     assert d.rhs[-1] == 1.0

@@ -160,6 +160,16 @@ def test_bulk_built_reports_are_plain_reports():
         weakref.ref(r)
 
 
+def test_reports_compare_and_hash_by_ids():
+    # a report's spectrum is a function of its ids, so equality and hashing go by the ids alone
+    reports = enumerate_minimal_sets(5)
+    assert set_report([1, 2, 6, 12, 13]) in reports and reports.index(set_report([13, 12, 6, 2, 1])) == 0
+    assert len(set(reports)) == len(reports) == 72
+    assert hash(set_report(reports[3].ids)) == hash(reports[3])
+    assert set(reports) == set(map(set_report, goldens.MINIMAL_SETS_5))
+    assert set_report([1, 2]) != set_report([1, 3]) and set_report([1, 2]) != (1, 2)
+
+
 def test_enumerate_size_four_is_empty():
     assert enumerate_minimal_sets(4) == []
 

@@ -1,7 +1,11 @@
 """Rules on the shape of the source that no behavioural test can see."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+
+import numpy as np
 
 import tomoforge
 
@@ -23,3 +27,31 @@ def _frexp_sites():
 def test_only_the_power_of_two_rule_reads_a_binary_exponent():
     # every scaling near the float limit goes through errors._pow2, so no site keeps its own exponent rule
     assert _frexp_sites() == ["errors._pow2"]
+
+
+def _module_arrays():
+    """{'module.name', or 'module.name[key]' for an entry of a dict, tuple or list: array} of every numpy array
+    bound at module level in the package, directly or inside a module-level dict, tuple or list."""
+    found = {}
+    submodules = [importlib.import_module(f"tomoforge.{m.name}") for m in pkgutil.iter_modules(tomoforge.__path__)]
+    for module in [tomoforge, *submodules]:
+        for name, value in vars(module).items():
+            if isinstance(value, dict):
+                entries = [(f"[{k!r}]", v) for k, v in value.items()]
+            elif isinstance(value, (tuple, list)):
+                entries = [(f"[{k}]", v) for k, v in enumerate(value)]
+            else:
+                entries = [("", value)]
+            for key, a in entries:
+                if isinstance(a, np.ndarray):
+                    found[f"{module.__name__}.{name}{key}"] = a
+    return found
+
+
+def test_every_module_table_is_read_only():
+    # computed once at import, then frozen: no caller can change what the next call reads
+    tables = _module_arrays()
+    for reached in ("tomoforge.model._ROWS", "tomoforge.model._PAULI['X']", "tomoforge.model._UPPER[0]",
+                    "tomoforge.search._BY_SIZE[9]", "tomoforge.lsq._PAULI_BASIS"):
+        assert reached in tables
+    assert [name for name, a in tables.items() if a.flags.writeable] == []
