@@ -1,13 +1,12 @@
 """Text formats for readings and density matrices.
 
-Readings file: one record per line, ``readout_id,peak,real,imag``, with
-``#`` comment lines; header comments may carry ``# key=value`` metadata
-(noise_sigma, seed, source); a key or value with a line break in it, or that
-is not UTF-8 text, is rejected. Ids and values are ASCII numbers without
+Readings file: one record per line, ``readout_id,peak,real,imag``, with ``#``
+comment lines; header comments may carry ``# key=value`` metadata (a dict:
+noise_sigma, seed, source); a key or value with a line break in it, or that is
+not UTF-8 text, is rejected. Ids and values are ASCII numbers without
 digit-group underscores. The writer and the parser check every record by the
 rule ``assemble_design`` applies, so a file the writer produces is one the
-parser reads. Floats are written with repr, so a write/parse round trip is
-bit-exact.
+parser reads. Floats are written with repr, so a round trip is bit-exact.
 
 Density file: 4 lines of 4 whitespace-separated complex literals ``a+bi`` /
 ``a-bi``, blank and ``#`` lines skipped. The parser and the writer refuse a
@@ -15,7 +14,8 @@ matrix whose Hermiticity defect exceeds ``model.HERMITICITY_TOL``, the cut
 ``matrix_to_params`` applies, so every file the writer produces parses back
 bit-exactly and every matrix the parser returns converts to parameters.
 
-Both readers take UTF-8 text; any other file is a ValidationError. The writers
+A path is a str, bytes or os.PathLike name, never a file descriptor. Both
+readers take UTF-8 text; any other file is a ValidationError. The writers
 format and encode the whole text before opening the file, so a rejected value
 leaves an existing file as it was. They overwrite in place, never truncating to
 zero first (on ext4 that, like a replace-by-rename, flushes the file on close:
@@ -40,9 +40,16 @@ _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i", re.ASCII)  # \d: 0-9 only
 
 
+def _path(path):
+    """``os.fspath(path)``; ValidationError unless ``path`` is a str, bytes or os.PathLike name, never a descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be a str, bytes or os.PathLike file name, got {path!r}")
+    return os.fspath(path)
+
+
 def _read_text(path) -> str:
     """The text of the file at ``path``; ValidationError naming it unless it is UTF-8."""
-    with open(path, encoding="utf-8") as fh:
+    with open(_path(path), encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -52,10 +59,19 @@ def _read_text(path) -> str:
 def _write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 over the file at ``path`` in place (see the module docstring)."""
     data = text.encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+    with open(os.open(_path(path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe
             fh.truncate()
+
+
+def _lines(text: str, what: str):
+    """(number, line, stripped line) of each line of the str ``text`` that is not blank or a ``#`` comment."""
+    if not isinstance(text, str):
+        raise ValidationError(f"{what} must be a str, got {type(text).__name__}")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield lineno, raw, line
 
 
 def parse_readings(text: str) -> list:
@@ -66,10 +82,7 @@ def parse_readings(text: str) -> list:
     the line.
     """
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in _lines(text, "readings text"):
         _ascii_text(line, f"line {lineno}: ")
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
@@ -93,6 +106,8 @@ def parse_readings(text: str) -> list:
 
 def format_readings(readings: Iterable[Reading], metadata: Optional[dict] = None) -> str:
     """Readings file text; rejects every record ``parse_readings`` would."""
+    if not isinstance(metadata, (dict, type(None))):
+        raise ValidationError(f"metadata must be a dict or None, got {type(metadata).__name__}")
     lines = []
     for key, value in (metadata or {}).items():
         line = f"# {key}={value}"
@@ -129,10 +144,7 @@ def parse_density(text: str) -> np.ndarray:
     """Parse a 4x4 complex matrix and check it is Hermitian within
     ``model.HERMITICITY_TOL``."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, line in _lines(text, "density text"):
         tokens = line.split()
         if len(tokens) != 4:
             raise ValidationError(f"line {lineno}: expected 4 entries per row, got {len(tokens)}")

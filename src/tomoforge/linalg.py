@@ -37,11 +37,11 @@ class SymEigen(NamedTuple):
     vectors: np.ndarray
 
 
-def _symmetric(matrix) -> np.ndarray:
-    """``matrix`` as a float array, checked as ``sym_eigen`` documents."""
-    s = _finite_array(matrix, (None, None), "sym_eigen matrix", float)
+def _symmetric(matrix, what: str = "sym_eigen matrix", caller: str = "sym_eigen") -> np.ndarray:
+    """``matrix`` as a float array, checked as ``sym_eigen`` documents; errors call it ``what`` and name ``caller``."""
+    s = _finite_array(matrix, (None, None), what, float)
     if s.shape[0] != s.shape[1]:
-        raise ValidationError(f"sym_eigen needs a square matrix, got shape {s.shape}")
+        raise ValidationError(f"{caller} needs a square matrix, got shape {s.shape}")
     # halved first, so S - S^T cannot overflow; exact outside the subnormals
     h = 0.5 * s
     asym = 2.0 * float(np.max(np.abs(h - h.T)))

@@ -11,8 +11,9 @@ one at a physically motivated prior instead of letting noise pick it.
 A public function here checks its own arguments once: each array (design
 matrix and rhs, normal rhs, parameters, priors, density matrices) by
 ``errors._finite_array``, so a NaN or a wrong shape is a ValidationError,
-never a NaN result, and each threshold by ``_threshold``. What it builds
-from them and hands on, to ``_decomposition`` or to numpy, is not checked again.
+never a NaN result, each threshold by ``_threshold`` and each record by its
+type. What it builds from them is not checked again, except by ``sym_eigen``,
+which checks a matrix outside the product-operator frame (an argument twice).
 
 Analysis and reconstruction share one decomposition step, ``_decomposition``:
 the exact rule ``model._pauli_eigenvalues`` gives C's eigenvalues in the 16
@@ -53,7 +54,7 @@ MEMO_SIZE = 8  # designs whose decomposition reconstruct keeps
 _DESIGN_LIMIT = 500  # the binary exponent of |A| past which A^T A could overflow, so A is scaled down
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalSystem:
     """The normal equations  matrix . x = rhs  of a design system."""
 
@@ -61,7 +62,7 @@ class NormalSystem:
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorMatrixReport:
     """Conditioning report of a normal system.
 
@@ -79,7 +80,7 @@ class ErrorMatrixReport:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     params: np.ndarray
     chi2: float
@@ -89,6 +90,8 @@ class ReconstructionResult:
 
 def _design_arrays(design: DesignSystem):
     """The design matrix A and rhs B, checked."""
+    if not isinstance(design, DesignSystem):
+        raise ValidationError(f"design must be a DesignSystem record, got {type(design).__name__}")
     a = _finite_array(design.matrix, (None, N_PARAMS), "design matrix", float)
     return a, _finite_array(design.rhs, (len(a),), "design rhs", float)
 
@@ -140,7 +143,9 @@ def normal_system(design: DesignSystem) -> NormalSystem:
 def error_matrix_analysis(ns: NormalSystem, threshold: float = DEFAULT_THRESHOLD) -> ErrorMatrixReport:
     """Diagonalize the normal matrix and flag ill-determined combinations."""
     threshold = _threshold(threshold)
-    c = _symmetric(ns.matrix)
+    if not isinstance(ns, NormalSystem):
+        raise ValidationError(f"normal system must be a NormalSystem record, got {type(ns).__name__}")
+    c = _symmetric(ns.matrix, "normal matrix", "error_matrix_analysis")
     rhs = _finite_array(ns.rhs, (len(c),), "normal rhs", float)
     w, combos = _decomposition(c)
     return ErrorMatrixReport(w, combos, combos @ rhs, w < threshold, threshold)

@@ -254,7 +254,7 @@ class Reading:
     value: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSystem:
     """The stacked real linear system  matrix . x = rhs.
 

@@ -29,7 +29,7 @@ from operator import add, attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import _read_only
+from .errors import ValidationError, _read_only
 from .model import N_PARAMS, N_READOUTS, _PAULI_WEIGHTS, _TRACE_WEIGHTS, _require_int_in_range, _validated_ids
 
 _FULL_COVER = (1 << N_PARAMS) - 1  # every product operator covered
@@ -134,7 +134,10 @@ def rank_sets_by_conditioning(reports) -> list:
     on the order of the input. The sort is stable, so duplicated reports
     keep their input order. Slice the result for the best few.
     """
-    ranked = sorted(reports, key=attrgetter("ids"))
-    last = np.fromiter(map(itemgetter(-1), map(attrgetter("eigenvalues"), ranked)), float, len(ranked))
+    try:
+        ranked = sorted(reports, key=attrgetter("ids"))
+        last = np.fromiter(map(itemgetter(-1), map(attrgetter("eigenvalues"), ranked)), float, len(ranked))
+    except (AttributeError, TypeError) as exc:  # not an iterable of reports
+        raise ValidationError(f"reports must be SetReport records ({exc})") from None
     kept = np.flatnonzero(last)  # nonzero iff full rank
     return list(map(ranked.__getitem__, kept[np.argsort(-last[kept], kind="stable")].tolist()))

@@ -1,41 +1,64 @@
 """The input rules every public function shares: one array rule
 (``errors._finite_array``) and one integer rule
-(``model._require_int_in_range``), each raising ValidationError. The one
+(``model._require_int_in_range``), each raising ValidationError, and a sweep
+that hands every public argument a value of the wrong type. The one
 tolerance a caller sets, ``noise_sigma``, is checked by ``simulate_readings``
 (see ``test_model.test_simulate_validation``); every other cut is a module
 constant."""
 
+import inspect
+import types
+
 import numpy as np
 import pytest
 
+import tomoforge
 from tomoforge import (
+    DEFAULT_THRESHOLD,
     DesignSystem,
     NormalSystem,
+    NumericalError,
     ValidationError,
     apply_rotation,
     assemble_design,
     chi2,
+    enumerate_minimal_sets,
     error_matrix_analysis,
     format_density,
+    format_readings,
     is_trace_normalized,
     matrix_rank,
     matrix_to_params,
     maximally_mixed_params,
+    minimum_readout_count,
     normal_system,
+    observable_positions,
     params_to_matrix,
     parse_density,
+    parse_readings,
     psd_project,
+    rank_sets_by_conditioning,
+    read_density,
+    read_readings,
+    readout_label,
+    readout_rows,
+    readout_spin,
     reconstruct,
     relative_error,
+    rotation_matrix,
+    set_report,
     simulate_readings,
     spectral_norm,
     sym_eigen,
+    write_density,
+    write_readings,
 )
 from tomoforge.errors import _finite_array
 
 RHO = np.eye(4) / 4
 PARAMS = maximally_mixed_params()
-DESIGN = assemble_design([1, 2, 6, 12, 13], readings=simulate_readings(RHO, [1, 2, 6, 12, 13]))
+READINGS = simulate_readings(RHO, [1, 2, 6, 12, 13])
+DESIGN = assemble_design([1, 2, 6, 12, 13], readings=READINGS)
 NS = normal_system(DESIGN)
 
 
@@ -212,3 +235,111 @@ def test_seed_is_an_integer_at_least_zero():
     for same in (5.0, np.int64(5), np.uint8(5)):
         assert simulate_readings(RHO, [1, 2], noise_sigma=0.01, seed=same) == base
     simulate_readings(RHO, [1], noise_sigma=0.01, seed=2**70)  # no upper bound
+
+
+# One valid call of every public function: the function and each of its arguments by name. The readers read the
+# files the writers write.
+PUBLIC_CALLS = {
+    "apply_rotation": (apply_rotation, {"rho": RHO, "label": "XY"}),
+    "assemble_design": (assemble_design, {"readouts": [1, 2, 6, 12, 13], "include_trace": True, "readings": READINGS}),
+    "chi2": (chi2, {"design": DESIGN, "params": PARAMS}),
+    "enumerate_minimal_sets": (enumerate_minimal_sets, {"size": 5}),
+    "error_matrix_analysis": (error_matrix_analysis, {"ns": NS, "threshold": DEFAULT_THRESHOLD}),
+    "format_density": (format_density, {"matrix": RHO}),
+    "format_readings": (format_readings, {"readings": READINGS, "metadata": {"seed": 0}}),
+    "is_trace_normalized": (is_trace_normalized, {"params": PARAMS}),
+    "matrix_rank": (matrix_rank, {"matrix": DESIGN.matrix}),
+    "matrix_to_params": (matrix_to_params, {"matrix": RHO}),
+    "maximally_mixed_params": (maximally_mixed_params, {}),
+    "minimum_readout_count": (minimum_readout_count, {}),
+    "normal_system": (normal_system, {"design": DESIGN}),
+    "observable_positions": (observable_positions, {"readout": 1}),
+    "params_to_matrix": (params_to_matrix, {"params": PARAMS}),
+    "parse_density": (parse_density, {"text": format_density(RHO)}),
+    "parse_readings": (parse_readings, {"text": format_readings(READINGS)}),
+    "psd_project": (psd_project, {"matrix": RHO}),
+    "rank_sets_by_conditioning": (rank_sets_by_conditioning, {"reports": enumerate_minimal_sets(5)[:3]}),
+    "read_density": (read_density, {"path": "rho.txt"}),
+    "read_readings": (read_readings, {"path": "readings.csv"}),
+    "readout_label": (readout_label, {"readout": 1}),
+    "readout_rows": (readout_rows, {"readout": 1}),
+    "readout_spin": (readout_spin, {"readout": 1}),
+    "reconstruct": (reconstruct, {"design": DESIGN, "threshold": DEFAULT_THRESHOLD, "prior": PARAMS}),
+    "relative_error": (relative_error, {"rho_exp": RHO, "rho_ref": RHO, "norm": "spectral"}),
+    "rotation_matrix": (rotation_matrix, {"label": "XY"}),
+    "set_report": (set_report, {"readouts": [1, 2, 6, 12, 13]}),
+    "simulate_readings": (simulate_readings, {"rho": RHO, "readouts": [1, 2], "noise_sigma": 0.01, "seed": 7}),
+    "spectral_norm": (spectral_norm, {"matrix": RHO}),
+    "sym_eigen": (sym_eigen, {"matrix": NS.matrix}),
+    "write_density": (write_density, {"path": "rho.txt", "matrix": RHO}),
+    "write_readings": (write_readings, {"path": "readings.csv", "readings": READINGS, "metadata": {"seed": 0}}),
+}
+WRONG_TYPES = (None, "x", b"x", 3.5, 7, [1, "a"], {"a": 1}, object())
+
+
+def test_the_sweep_names_every_argument_of_every_public_function():
+    functions = {n: f for n in tomoforge.__all__ if isinstance(f := getattr(tomoforge, n), types.FunctionType)}
+    assert functions == {name: call for name, (call, _) in PUBLIC_CALLS.items()}
+    for name, (call, arguments) in PUBLIC_CALLS.items():
+        assert list(arguments) == list(inspect.signature(call).parameters), name
+
+
+@pytest.mark.parametrize("function,argument", [(f, a) for f, (_, args) in PUBLIC_CALLS.items() for a in args])
+def test_every_public_argument_refuses_a_wrong_type(function, argument, tmp_path, monkeypatch):
+    # each call returns or raises one of the package's errors; a path that names no file is an OSError.
+    # An integer path is left out: it would name a file descriptor (see test_io)
+    monkeypatch.chdir(tmp_path)
+    write_density("rho.txt", RHO)
+    write_readings("readings.csv", READINGS)
+    call, arguments = PUBLIC_CALLS[function]
+    call(**arguments)
+    allowed = (ValidationError, NumericalError) + ((FileNotFoundError,) if argument == "path" else ())
+    escaped = []
+    for value in WRONG_TYPES:
+        if argument == "path" and isinstance(value, int):
+            continue
+        try:
+            call(**{**arguments, argument: value})
+        except allowed:
+            pass
+        except Exception as exc:  # every escape is listed
+            escaped.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def test_wrong_records_and_text_are_named():
+    for call, got in (
+        (lambda: reconstruct(np.eye(16)), "ndarray"),
+        (lambda: normal_system(None), "NoneType"),
+        (lambda: chi2(NS, PARAMS), "NormalSystem"),
+    ):
+        with pytest.raises(ValidationError, match=f"^design must be a DesignSystem record, got {got}$"):
+            call()
+    with pytest.raises(ValidationError, match="^normal system must be a NormalSystem record, got DesignSystem$"):
+        error_matrix_analysis(DESIGN)
+    for reports, why in (([1, 2], "'int' object has no attribute 'ids'"), (5, "'int' object is not iterable")):
+        with pytest.raises(ValidationError, match=rf"^reports must be SetReport records \({why}\)$"):
+            rank_sets_by_conditioning(reports)
+    with pytest.raises(ValidationError, match="^readings text must be a str, got NoneType$"):
+        parse_readings(None)
+    with pytest.raises(ValidationError, match="^density text must be a str, got bytes$"):
+        parse_density(format_density(RHO).encode())
+    with pytest.raises(ValidationError, match="^metadata must be a dict or None, got list$"):
+        format_readings(READINGS, metadata=[1])
+    # reports are read by their ids and spectra, so a record that has both still ranks
+    duck = types.SimpleNamespace(ids=(1, 2), eigenvalues=np.array([1.0, 0.5]))
+    assert rank_sets_by_conditioning([duck]) == [duck]
+
+
+def test_a_normal_matrix_is_named_as_the_caller_passed_it():
+    # error_matrix_analysis names the normal matrix and itself; sym_eigen's own messages are unchanged
+    nan, wide = np.full((16, 16), np.nan), np.ones((3, 4))
+    for call, message in (
+        (lambda: error_matrix_analysis(NormalSystem(nan, NS.rhs)), "normal matrix has non-finite entries"),
+        (lambda: error_matrix_analysis(NormalSystem(wide, NS.rhs)),
+         r"error_matrix_analysis needs a square matrix, got shape \(3, 4\)"),
+        (lambda: sym_eigen(nan), "sym_eigen matrix has non-finite entries"),
+        (lambda: sym_eigen(wide), r"sym_eigen needs a square matrix, got shape \(3, 4\)"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()

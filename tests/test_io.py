@@ -213,6 +213,38 @@ def test_writers_accept_dev_null_and_a_pipe_and_refuse_a_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_file_descriptor_is_refused_and_left_open():
+    # open() takes an int as a descriptor: it would read or write through it and then close it
+    readings = simulate_readings(np.eye(4) / 4, [1, 2])
+    text = format_readings(readings).encode()
+    r, w = os.pipe()
+    os.set_blocking(r, False)  # a reader that takes the descriptor stops at the end of what the pipe holds
+    try:
+        os.write(w, text)
+        for call in (
+            lambda: read_readings(r),
+            lambda: read_density(r),
+            lambda: write_readings(w, readings),
+            lambda: write_density(w, goldens.RHO_PREDICTED),
+        ):
+            with pytest.raises(ValidationError, match=r"^path must be a str, bytes or os\.PathLike file name, got \d+$"):
+                call()
+        assert os.read(r, 1 << 16) == text  # both ends still open: nothing was read or written
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_paths_are_str_bytes_or_path_like(tmp_path):
+    readings = simulate_readings(np.eye(4) / 4, [1, 2])
+    for path in (str(tmp_path / "str"), os.fsencode(tmp_path / "bytes"), tmp_path / "path"):
+        write_readings(path, readings)
+        assert read_readings(path) == readings
+        write_density(path, goldens.RHO_PREDICTED)
+        assert np.array_equal(read_density(path), goldens.RHO_PREDICTED)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bytes", "path", "str"]
+
+
 def test_writers_never_truncate_to_zero_or_rename(tmp_path, monkeypatch):
     # on ext4 a truncation to zero, or a replace-by-rename, flushes the file
     # when it is closed; each writer opens once, without O_TRUNC

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -776,3 +777,14 @@ def test_scaling_never_writes_the_callers_arrays(rng):
         _assert_unwritten([design.matrix, design.rhs, prior], lambda: reconstruct(design, prior=prior))
         _assert_unwritten([design.matrix, design.rhs, x], lambda: chi2(design, x))
         _assert_unwritten([normal.matrix, normal.rhs], lambda: error_matrix_analysis(normal))
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    # equal copies are distinct records: == neither compares nor raises over their arrays
+    design = assemble_design([1, 2, 6, 12, 13], readings=simulate_readings(np.eye(4) / 4, [1, 2, 6, 12, 13]))
+    ns = normal_system(design)
+    for record in (design, ns, error_matrix_analysis(ns), reconstruct(design, threshold=0.75)):
+        twin = copy.deepcopy(record)
+        assert record == record and not record != record
+        assert not record == twin and record != twin
+        assert isinstance(hash(record), int) and len({record, twin, record}) == 2

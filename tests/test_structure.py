@@ -1,6 +1,7 @@
 """Rules on the shape of the source that no behavioural test can see."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -29,12 +30,16 @@ def test_only_the_power_of_two_rule_reads_a_binary_exponent():
     assert _frexp_sites() == ["errors._pow2"]
 
 
+def _modules():
+    """The package and every module in it."""
+    return [tomoforge, *(importlib.import_module(f"tomoforge.{m.name}") for m in pkgutil.iter_modules(tomoforge.__path__))]
+
+
 def _module_arrays():
     """{'module.name', or 'module.name[key]' for an entry of a dict, tuple or list: array} of every numpy array
     bound at module level in the package, directly or inside a module-level dict, tuple or list."""
     found = {}
-    submodules = [importlib.import_module(f"tomoforge.{m.name}") for m in pkgutil.iter_modules(tomoforge.__path__)]
-    for module in [tomoforge, *submodules]:
+    for module in _modules():
         for name, value in vars(module).items():
             if isinstance(value, dict):
                 entries = [(f"[{k!r}]", v) for k, v in value.items()]
@@ -55,3 +60,23 @@ def test_every_module_table_is_read_only():
                     "tomoforge.search._BY_SIZE[9]", "tomoforge.lsq._PAULI_BASIS"):
         assert reached in tables
     assert [name for name, a in tables.items() if a.flags.writeable] == []
+
+
+def _value_compared_records():
+    """{'module.Class': the fields its equality compares} of every dataclass in the package with its own ``__eq__``."""
+    found = {}
+    for module in _modules():
+        for value in vars(module).values():
+            if dataclasses.is_dataclass(value) and isinstance(value, type) and "__eq__" in vars(value):
+                found[f"{value.__module__}.{value.__qualname__}"] = tuple(
+                    f.name for f in dataclasses.fields(value) if f.compare)
+    return found
+
+
+def test_only_records_a_value_identifies_compare_by_value():
+    # a generated __eq__ over an array field can only raise, so a record that holds arrays declares eq=False and
+    # compares and hashes by identity; a reading is its values, a set report is its ids (its spectrum follows)
+    assert _value_compared_records() == {
+        "tomoforge.model.Reading": ("readout", "peak", "value"),
+        "tomoforge.search.SetReport": ("ids",),
+    }
