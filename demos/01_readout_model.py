@@ -9,7 +9,6 @@ import numpy as np
 
 from tomoforge import (
     ROTATION_LABELS,
-    apply_rotation,
     assemble_design,
     matrix_to_params,
     observable_positions,
@@ -55,7 +54,8 @@ for row, label in zip(rows[:2], labels[:2]):
     terms = " ".join(f"{c:+.2f}*x{k + 1}" for k, c in enumerate(row) if abs(c) > 1e-12)
     print(f"  {label}: {terms}")
 
-rotated = apply_rotation(rho, "XI")
+r = rotation_matrix("XI")
+rotated = r @ rho @ r.conj().T
 predicted = rows[:2] @ x
 print(f"row model:    re = {predicted[0]:+.6f}, im = {predicted[1]:+.6f}")
 print(f"matrix model: re = {rotated[0, 2].real:+.6f}, im = {rotated[0, 2].imag:+.6f}")

@@ -2,7 +2,7 @@
 
 The package splits into five layers:
 
-* linalg  - symmetric eigendecomposition, rank and spectral norm kernels
+* linalg  - symmetric eigendecomposition and rank kernels
 * model   - rotations, the 16-parameter density parameterization, design rows
 * lsq     - normal equations, conditioning analysis, truncated reconstruction
 * search  - exhaustive read-out set enumeration and ranking
@@ -12,7 +12,7 @@ The package splits into five layers:
 import types as _types
 
 from .errors import NumericalError, ValidationError
-from .linalg import SymEigen, matrix_rank, spectral_norm, sym_eigen
+from .linalg import SymEigen, matrix_rank, sym_eigen
 from .lsq import (
     DEFAULT_THRESHOLD,
     ErrorMatrixReport,
@@ -34,9 +34,7 @@ from .model import (
     TRACE_LABEL,
     DesignSystem,
     Reading,
-    apply_rotation,
     assemble_design,
-    is_trace_normalized,
     matrix_to_params,
     maximally_mixed_params,
     observable_positions,

@@ -14,13 +14,14 @@ matrix whose Hermiticity defect exceeds ``model.HERMITICITY_TOL``, the cut
 ``matrix_to_params`` applies, so every file the writer produces parses back
 bit-exactly and every matrix the parser returns converts to parameters.
 
-A path is a str, bytes or os.PathLike name, never a file descriptor. Both
-readers take UTF-8 text; any other file is a ValidationError. The writers
-format and encode the whole text before opening the file, so a rejected value
-leaves an existing file as it was. They overwrite in place, never truncating to
-zero first (on ext4 that, like a replace-by-rename, flushes the file on close:
-``auto_da_alloc`` in the kernel's ext4 admin guide), and cut at the new length.
-Not atomic: a write that fails part-way can leave old bytes past the new text.
+A path is a str, bytes or os.PathLike name without a NUL, never a file
+descriptor. Both readers take UTF-8 text; any other file is a ValidationError.
+The writers format and encode the whole text before opening the file, so a
+rejected value leaves an existing file as it was. They overwrite in place,
+never truncating to zero first (on ext4 that, like a replace-by-rename, flushes
+the file on close: ``auto_da_alloc`` in the kernel's ext4 admin guide), and cut
+at the new length. Not atomic: a write that fails part-way can leave old bytes
+past the new text.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ _COMPLEX_RE = re.compile(rf"([+-]?{_UNSIGNED})([+-]{_UNSIGNED})i", re.ASCII)  # 
 
 
 def _path(path):
-    """``os.fspath(path)``; ValidationError unless ``path`` is a str, bytes or os.PathLike name, never a descriptor."""
+    """``os.fspath(path)`` of a str, bytes or os.PathLike name with no NUL, never a descriptor; else ValidationError."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise ValidationError(f"path must be a str, bytes or os.PathLike file name, got {path!r}")
+    if "\0" in os.fsdecode(path):  # open() would raise a plain ValueError
+        raise ValidationError(f"path must not contain a NUL character, got {path!r}")
     return os.fspath(path)
 
 

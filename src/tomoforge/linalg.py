@@ -1,5 +1,5 @@
 """Small dense linear-algebra kernels: symmetric eigendecomposition with a
-fixed ordering/sign convention, singular-value rank, and the spectral norm.
+fixed ordering/sign convention, and singular-value rank.
 
 ``SYMMETRY_TOL`` is the largest |S - S^T| entry ``sym_eigen`` accepts. A
 singular value counts toward ``matrix_rank`` above ``RANK_TOL`` times the
@@ -73,9 +73,3 @@ def matrix_rank(matrix) -> int:
     m = _finite_array(matrix, (None, None), "matrix_rank matrix")
     sv = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-
-
-def spectral_norm(matrix) -> float:
-    """Largest singular value of a real or complex matrix."""
-    m = _finite_array(matrix, (None, None), "spectral_norm matrix")
-    return float(np.linalg.svd(m, compute_uv=False)[0])

@@ -39,7 +39,7 @@ N_PARAMS = 16
 PEAKS = ("left", "right")
 TRACE_LABEL = "trace"
 HERMITICITY_TOL = 1e-9  # largest |m - m^H| entry of any density matrix read, written or converted
-TRACE_TOL = 1e-9  # largest |trace - 1| is_trace_normalized accepts
+TRACE_TOL = 1e-9  # largest |trace - 1| simulate_readings accepts
 
 # x1..x10 are the upper triangle (diagonal included) in row-major order,
 # x11..x16 the imaginary parts of the strict upper triangle.
@@ -162,18 +162,6 @@ def _trace(x: np.ndarray) -> float:
     return a + b + c + d
 
 
-def is_trace_normalized(params) -> bool:
-    """Whether the populations sum to 1 within ``TRACE_TOL``."""
-    return abs(_trace(_finite_array(params, (N_PARAMS,), "parameters", float)) - 1.0) <= TRACE_TOL
-
-
-def apply_rotation(rho, label: str) -> np.ndarray:
-    """Conjugate a Hermitian 4x4 matrix by one rotation: R . rho . R^dagger."""
-    m = _finite_array(rho, (4, 4), "matrix", complex)
-    r = rotation_matrix(label)
-    return r @ m @ r.conj().T
-
-
 def _build_rows():
     """The 18x4x16 forward model and its row labels. Block rid-1 holds the
     equations of read-out rid (left re/im, right re/im), produced by
@@ -270,9 +258,6 @@ class DesignSystem:
     @property
     def rows(self) -> int:
         return self.matrix.shape[0]
-
-    def has_trace_row(self) -> bool:
-        return bool(self.row_labels) and self.row_labels[-1] == TRACE_LABEL
 
 
 def _iterate(value, what: str):
@@ -373,7 +358,7 @@ def simulate_readings(rho, readouts: Iterable, noise_sigma: float = 0.0, seed: i
     real before imaginary), so a seed, an integer >= 0, pins the output.
     """
     x = matrix_to_params(rho)
-    if not abs(_trace(x) - 1.0) <= TRACE_TOL:  # x is checked already; is_trace_normalized would check it again
+    if not abs(_trace(x) - 1.0) <= TRACE_TOL:
         raise ValidationError(f"density matrix must have trace 1, got {_trace(x)!r}")
     sigma = _real(noise_sigma)
     if sigma is None or not 0 <= sigma < np.inf:

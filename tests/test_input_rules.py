@@ -19,14 +19,12 @@ from tomoforge import (
     NormalSystem,
     NumericalError,
     ValidationError,
-    apply_rotation,
     assemble_design,
     chi2,
     enumerate_minimal_sets,
     error_matrix_analysis,
     format_density,
     format_readings,
-    is_trace_normalized,
     matrix_rank,
     matrix_to_params,
     maximally_mixed_params,
@@ -48,7 +46,6 @@ from tomoforge import (
     rotation_matrix,
     set_report,
     simulate_readings,
-    spectral_norm,
     sym_eigen,
     write_density,
     write_readings,
@@ -70,13 +67,11 @@ def _with_rhs(rhs):
     return DesignSystem(DESIGN.matrix, rhs, DESIGN.row_labels)
 
 
-# Every array argument of the 14 functions that check arrays: the call with
+# Every array argument of the 11 functions that check arrays: the call with
 # the argument under test replaced, and a valid value of that argument.
 ARRAY_ARGUMENTS = {
     "params_to_matrix": (params_to_matrix, PARAMS),
     "matrix_to_params": (matrix_to_params, RHO),
-    "is_trace_normalized": (is_trace_normalized, PARAMS),
-    "apply_rotation": (lambda a: apply_rotation(a, "XY"), RHO),
     "normal_system matrix": (lambda a: normal_system(_with_matrix(a)), DESIGN.matrix),
     "normal_system rhs": (lambda a: normal_system(_with_rhs(a)), DESIGN.rhs),
     "error_matrix_analysis rhs": (lambda a: error_matrix_analysis(NormalSystem(NS.matrix, a)), NS.rhs),
@@ -91,7 +86,6 @@ ARRAY_ARGUMENTS = {
     "psd_project": (psd_project, RHO),
     "sym_eigen": (sym_eigen, NS.matrix),
     "matrix_rank": (matrix_rank, DESIGN.matrix),
-    "spectral_norm": (spectral_norm, RHO),
     "format_density": (format_density, RHO),
 }
 
@@ -125,7 +119,6 @@ def test_every_array_argument_rejects_bad_arrays(argument, bad):
 # to its real part.
 REAL_ARGUMENTS = (
     "params_to_matrix",
-    "is_trace_normalized",
     "normal_system matrix",
     "normal_system rhs",
     "error_matrix_analysis rhs",
@@ -149,7 +142,6 @@ GAPS = {
     "rhs of length 3": lambda: reconstruct(_with_rhs(np.zeros(3))),
     "3-column design": lambda: reconstruct(_with_matrix(DESIGN.matrix[:, :3])),
     "3 parameters in chi2": lambda: chi2(DESIGN, [0] * 3),
-    "is_trace_normalized of one number": lambda: is_trace_normalized([1]),
 }
 
 
@@ -212,7 +204,6 @@ def test_relative_error_does_not_depend_on_scale():
 
 @pytest.mark.filterwarnings("error")
 def test_trace_beyond_the_float_range_is_not_normalized_without_a_warning():
-    assert not is_trace_normalized([1e308] * 16)
     with pytest.raises(ValidationError, match="^density matrix must have trace 1, got inf$"):
         simulate_readings(np.diag([1e308] * 4), [1])
 
@@ -240,14 +231,12 @@ def test_seed_is_an_integer_at_least_zero():
 # One valid call of every public function: the function and each of its arguments by name. The readers read the
 # files the writers write.
 PUBLIC_CALLS = {
-    "apply_rotation": (apply_rotation, {"rho": RHO, "label": "XY"}),
     "assemble_design": (assemble_design, {"readouts": [1, 2, 6, 12, 13], "include_trace": True, "readings": READINGS}),
     "chi2": (chi2, {"design": DESIGN, "params": PARAMS}),
     "enumerate_minimal_sets": (enumerate_minimal_sets, {"size": 5}),
     "error_matrix_analysis": (error_matrix_analysis, {"ns": NS, "threshold": DEFAULT_THRESHOLD}),
     "format_density": (format_density, {"matrix": RHO}),
     "format_readings": (format_readings, {"readings": READINGS, "metadata": {"seed": 0}}),
-    "is_trace_normalized": (is_trace_normalized, {"params": PARAMS}),
     "matrix_rank": (matrix_rank, {"matrix": DESIGN.matrix}),
     "matrix_to_params": (matrix_to_params, {"matrix": RHO}),
     "maximally_mixed_params": (maximally_mixed_params, {}),
@@ -269,7 +258,6 @@ PUBLIC_CALLS = {
     "rotation_matrix": (rotation_matrix, {"label": "XY"}),
     "set_report": (set_report, {"readouts": [1, 2, 6, 12, 13]}),
     "simulate_readings": (simulate_readings, {"rho": RHO, "readouts": [1, 2], "noise_sigma": 0.01, "seed": 7}),
-    "spectral_norm": (spectral_norm, {"matrix": RHO}),
     "sym_eigen": (sym_eigen, {"matrix": NS.matrix}),
     "write_density": (write_density, {"path": "rho.txt", "matrix": RHO}),
     "write_readings": (write_readings, {"path": "readings.csv", "readings": READINGS, "metadata": {"seed": 0}}),

@@ -235,6 +235,21 @@ def test_a_file_descriptor_is_refused_and_left_open():
         os.close(w)
 
 
+def test_a_path_with_a_nul_is_refused_and_creates_nothing(tmp_path):
+    # open() would raise a plain ValueError ("embedded null byte")
+    readings = simulate_readings(np.eye(4) / 4, [1, 2])
+    for path in (str(tmp_path / "a\0b"), os.fsencode(tmp_path / "a\0b")):
+        for call in (
+            lambda: read_readings(path),
+            lambda: read_density(path),
+            lambda: write_readings(path, readings),
+            lambda: write_density(path, goldens.RHO_PREDICTED),
+        ):
+            with pytest.raises(ValidationError, match="^path must not contain a NUL character, got "):
+                call()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_paths_are_str_bytes_or_path_like(tmp_path):
     readings = simulate_readings(np.eye(4) / 4, [1, 2])
     for path in (str(tmp_path / "str"), os.fsencode(tmp_path / "bytes"), tmp_path / "path"):

@@ -7,15 +7,12 @@ from tomoforge import (
     DIAGONAL_SLOTS,
     ROTATION_LABELS,
     TRACE_LABEL,
-    DesignSystem,
     Reading,
     ValidationError,
-    apply_rotation,
     assemble_design,
     enumerate_minimal_sets,
     format_density,
     format_readings,
-    is_trace_normalized,
     matrix_rank,
     matrix_to_params,
     maximally_mixed_params,
@@ -34,6 +31,12 @@ from conftest import random_hermitian, random_trace_one_hermitian
 import goldens
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def _conjugate(rho, label):
+    """R rho R^H for the rotation of ``label``: the matrix model the read-out rows are checked against."""
+    r = rotation_matrix(label)
+    return r @ rho @ r.conj().T
 
 
 def test_identity_rotation():
@@ -84,7 +87,7 @@ def test_predicted_state_parameterization():
 def test_mixed_params_inverse():
     x = matrix_to_params(np.eye(4) / 4)
     np.testing.assert_allclose(x, maximally_mixed_params())
-    assert is_trace_normalized(x)
+    simulate_readings(params_to_matrix(x), [1])  # of unit trace
 
 
 def test_param_round_trip_random(rng):
@@ -162,9 +165,9 @@ def test_matrix_to_params_rejects_non_hermitian():
 
 def test_apply_rotation_identity_and_mixed(rng):
     rho = random_hermitian(rng)
-    np.testing.assert_allclose(apply_rotation(rho, "II"), rho)
+    np.testing.assert_allclose(_conjugate(rho, "II"), rho)
     for label in ROTATION_LABELS:
-        np.testing.assert_allclose(apply_rotation(np.eye(4) / 4, label), np.eye(4) / 4, atol=1e-14)
+        np.testing.assert_allclose(_conjugate(np.eye(4) / 4, label), np.eye(4) / 4, atol=1e-14)
 
 
 def test_apply_rotation_against_naive_product_oracle():
@@ -179,14 +182,14 @@ def test_apply_rotation_against_naive_product_oracle():
                 for l in range(4):
                     acc += r[i, k] * rho[k, l] * np.conj(r[j, l])
             expected[i, j] = acc
-    np.testing.assert_allclose(apply_rotation(rho, "XI"), expected, atol=1e-13)
+    np.testing.assert_allclose(_conjugate(rho, "XI"), expected, atol=1e-13)
 
 
 def test_apply_rotation_preserves_trace_and_spectrum(rng):
     for _ in range(100):
         rho = random_hermitian(rng)
         label = ROTATION_LABELS[int(rng.integers(9))]
-        rotated = apply_rotation(rho, label)
+        rotated = _conjugate(rho, label)
         assert abs(np.trace(rotated) - np.trace(rho)) < 1e-12
         np.testing.assert_allclose(
             np.linalg.eigvalsh(rotated), np.linalg.eigvalsh(rho), atol=1e-9
@@ -233,7 +236,7 @@ def test_readout_rows_consistent_with_matrix_model(rng):
         rho = random_hermitian(rng)
         x = matrix_to_params(rho)
         rows, _ = readout_rows(rid)
-        rotated = apply_rotation(rho, readout_label(rid))
+        rotated = _conjugate(rho, readout_label(rid))
         (li, lj), (ri, rj) = observable_positions(rid)
         predicted = rows @ x
         actual = np.array([
@@ -258,7 +261,7 @@ _PEAK_MIX = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]])
 
 
 def test_each_mixed_readout_row_reads_one_product_operator():
-    # Built without _ROWS: each read-out's rows come from apply_rotation of
+    # Built without _ROWS: each read-out's rows come from the conjugation of
     # the parameter basis matrices, and the product-operator functionals
     # x -> Tr(sigma_P rho(x)) from the Pauli matrices, normalised.
     basis = [params_to_matrix(e) for e in np.eye(16)]
@@ -268,7 +271,7 @@ def test_each_mixed_readout_row_reads_one_product_operator():
     u = functionals / np.linalg.norm(functionals, axis=0)
     np.testing.assert_allclose(u.T @ u, np.eye(16), atol=1e-12)
     for rid in range(1, 19):
-        rotated = [apply_rotation(m, readout_label(rid)) for m in basis]
+        rotated = [_conjugate(m, readout_label(rid)) for m in basis]
         rows = np.array(
             [[part(m[i - 1, j - 1]) for m in rotated] for i, j in observable_positions(rid) for part in (np.real, np.imag)]
         )
@@ -288,9 +291,6 @@ def test_design_shape_and_order():
     assert d.rhs.shape == (73,)
     assert d.row_labels[-1] == TRACE_LABEL
     assert d.row_labels[:4] == ((1, "left", "re"), (1, "left", "im"), (1, "right", "re"), (1, "right", "im"))
-    assert d.has_trace_row() is True
-    assert assemble_design([1, 2], include_trace=False).has_trace_row() is False
-    assert DesignSystem(np.zeros((0, 16)), np.zeros(0), ()).has_trace_row() is False  # no rows, no failure
     # trace row: ones on the diagonal slots, rhs 1
     np.testing.assert_array_equal(np.flatnonzero(d.matrix[-1]), list(DIAGONAL_SLOTS))
     assert d.rhs[-1] == 1.0
@@ -401,7 +401,7 @@ def test_simulate_noiseless_matches_rotated_elements(rng):
         readings = simulate_readings(rho, range(1, 19))
         assert len(readings) == 36
         for rec in readings:
-            rotated = apply_rotation(rho, readout_label(rec.readout))
+            rotated = _conjugate(rho, readout_label(rec.readout))
             (li, lj), (ri, rj) = observable_positions(rec.readout)
             i, j = (li, lj) if rec.peak == "left" else (ri, rj)
             assert rec.value == pytest.approx(complex(rotated[i - 1, j - 1]), abs=1e-15)
@@ -466,7 +466,6 @@ def test_trace_tolerance_is_accepted_and_the_next_float_refused():
     for inside, outside in _traces_at_the_margin():
         x_in, x_out = np.zeros(16), np.zeros(16)
         x_in[DIAGONAL_SLOTS[0]], x_out[DIAGONAL_SLOTS[0]] = inside, outside
-        assert is_trace_normalized(x_in) and not is_trace_normalized(x_out)
         simulate_readings(params_to_matrix(x_in), [1])
         with pytest.raises(ValidationError, match="^density matrix must have trace 1"):
             simulate_readings(params_to_matrix(x_out), [1])
